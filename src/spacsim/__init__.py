@@ -31,33 +31,15 @@ from .experiments import (
     run_sweep,
     trend_checks,
 )
-from .fock import (
-    CoherentParams,
-    StateVector,
-    adaptive_dim,
-    apply,
-    coherent_state,
-    displacement_matrix,
-    expectation,
-    fock_state,
-    inner_product,
-    ladder_ops,
-    norm,
-    normalize,
-    number_op,
-    phase_quadrature,
-    quadrature_ops,
-    spacs_state,
-)
+from .fock import CoherentParams, StateVector, adaptive_dim, spacs_state
 from .measurement import (
     MeasurementConfig,
     SelectionConfig,
     analytic_beta,
     branch_superposition,
-    final_pointer_state,
     joint_evolution_project,
     naive_postselection_probability,
-    true_postselection_probability,
+    postselected_pointer,
     weak_value,
 )
 from .observables import (

@@ -115,10 +115,9 @@ def check_oracle_grid() -> CheckOutcome:
                 for delta in ORACLE_DELTA:
                     for phi_pre in ORACLE_PHI:
                         sel = SelectionConfig(phi_pre, delta)
-                        mconf = MeasurementConfig(s, fixed_dim=dim)
+                        mconf = MeasurementConfig(s)
                         w = measurement.weak_value(sel)
-                        final = measurement.final_pointer_state(pointer, w, mconf)
-                        prob = measurement.true_postselection_probability(pointer, sel, mconf)
+                        final, prob = measurement.postselected_pointer(pointer, sel, mconf)
                         oracle_state, oracle_prob = measurement.joint_evolution_project(
                             pointer, sel, mconf
                         )

@@ -27,10 +27,6 @@ _PI_PATTERN = re.compile(
     re.IGNORECASE,
 )
 
-#: keeps the naive postselection probability representable and the
-#: branch cancellations benign
-PHI_PRE_CAP = 0.999 * math.pi
-
 PARAM_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad")
 
 _DEFAULTS = {
@@ -95,12 +91,12 @@ def _build_params(merged: dict[str, str]) -> ParamSet:
         s = float(merged["s"])
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if angles["phi_pre"] == math.pi:
-        raise click.UsageError("phi-pre = pi: pre- and postselection are orthogonal, "
-                               "the weak value is undefined")
-    if angles["phi_pre"] > PHI_PRE_CAP:
-        raise click.UsageError("phi-pre is capped at 0.999*pi")
-    return ParamSet(r=r, s=s, **angles)
+    try:
+        params = ParamSet(r=r, s=s, **angles)
+        params.selection  # the library enforces the phi_pre rules
+    except SpacsimError as exc:
+        _guard(exc)
+    return params
 
 
 def _truncation(merged: dict[str, str]) -> tuple[float, int]:
@@ -190,7 +186,7 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
         if len(parts) != 3:
             raise click.UsageError(f"grid {text!r} must be start:stop:step or a comma list")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise click.UsageError(f"bad grid bounds {text!r}")
         count = int(round((stop - start) / step)) + 1
         return tuple(start + (stop - start) * i / (count - 1) for i in range(count)) \

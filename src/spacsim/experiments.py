@@ -2,15 +2,15 @@
 
 A sweep varies one of {r, s, phi_pre, n} over a grid while a second
 variable indexes the curve family, everything else held fixed.  Points
-are independent and may be evaluated concurrently; results are merged
-in series-major order so output bytes never depend on the thread count.
+are evaluated serially in series-major order; a point that fails
+becomes a status row instead of aborting the sweep.  The trend checks
+read their numbers from the figure-preset sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +37,9 @@ class ParamSet:
     phi_pre: float = 0.0
     s: float = 0.0
     phi_quad: float = 0.0
+
+    def __post_init__(self):
+        fock.require_finite(**vars(self))
 
     @property
     def alpha(self) -> CoherentParams:
@@ -115,12 +118,11 @@ class PointResult:
 
 
 def evaluate_point(
-    params: ParamSet, tol: float = 1e-9, max_dim: int = fock.DIM_CAP,
-    fixed_dim: int | None = None,
+    params: ParamSet, tol: float = 1e-9, max_dim: int = fock.DIM_CAP
 ) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
     sel = params.selection
-    mconf = MeasurementConfig(params.s, tol=tol, max_dim=max_dim, fixed_dim=fixed_dim)
+    mconf = MeasurementConfig(params.s, tol=tol, max_dim=max_dim)
     alpha = params.alpha
     dim = mconf.resolve_dim(alpha)
     pointer = fock.spacs_state(alpha, dim, tail_tol=tol)
@@ -153,67 +155,55 @@ def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
     return point.true_prob  # postselection_prob
 
 
-def _error_rows(spec: SweepSpec, label: str, exc: SpacsimError) -> list[SweepRow]:
+def _error_row(label: str, x: float, exc: SpacsimError) -> SweepRow:
     nan = float("nan")
-    return [
-        SweepRow(label, x, nan, nan, nan, status=type(exc).__name__)
-        for x in spec.grid
-    ]
+    return SweepRow(label, x, nan, nan, nan, status=type(exc).__name__)
+
+
+def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
+    """x -> SweepRow for one series; both steps may raise SpacsimError.
+
+    A photon-number series evaluates its single point up front and reads
+    every grid value from that distribution.
+    """
+    if spec.swept != "n":
+        def scalar_row(x: float) -> SweepRow:
+            point = evaluate_point(_with(base, spec.swept, x), tol=spec.tol, max_dim=spec.max_dim)
+            return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
+        return scalar_row
+    point = evaluate_point(base, tol=spec.tol, max_dim=spec.max_dim)
+    probs = observables.photon_distribution(point.state)
+
+    def photon_row(x: float) -> SweepRow:
+        fock.require_finite(n=x)
+        n = int(round(x))
+        value = float(probs[n]) if 0 <= n < point.dim else 0.0
+        return SweepRow(label, float(n), value, point.tail_mass, point.true_prob)
+    return photon_row
 
 
 def _evaluate_series(spec: SweepSpec, series_value: float) -> list[SweepRow]:
     label = _series_label(spec.series, series_value)
-    base = _with(spec.fixed, spec.series, series_value)
-    if spec.swept == "n":
-        try:
-            point = evaluate_point(base, tol=spec.tol, max_dim=spec.max_dim)
-        except SpacsimError as exc:
-            return _error_rows(spec, label, exc)
-        probs = observables.photon_distribution(point.state)
-        rows = []
-        for x in spec.grid:
-            n = int(round(x))
-            value = float(probs[n]) if 0 <= n < point.dim else 0.0
-            rows.append(SweepRow(label, float(n), value, point.tail_mass, point.true_prob))
-        return rows
+    try:
+        row_at = _row_maker(spec, _with(spec.fixed, spec.series, series_value), label)
+    except SpacsimError as exc:
+        return [_error_row(label, x, exc) for x in spec.grid]
     rows = []
     for x in spec.grid:
         try:
-            point = evaluate_point(
-                _with(base, spec.swept, x), tol=spec.tol, max_dim=spec.max_dim
-            )
-            rows.append(
-                SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
-            )
+            rows.append(row_at(x))
         except SpacsimError as exc:
-            nan = float("nan")
-            rows.append(SweepRow(label, x, nan, nan, nan, status=type(exc).__name__))
+            rows.append(_error_row(label, x, exc))
     return rows
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("SPACS_THREADS", "1"))
-    return max(1, threads)
-
-
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
-    """Evaluate a sweep; per-point failures become status rows, not aborts.
+    """Evaluate a sweep serially; per-point failures become status rows, not aborts.
 
-    ``threads`` caps worker count (default: SPACS_THREADS env var, else
-    serial).  Output is deterministic and identical for any thread count.
+    ``threads`` (and the SPACS_THREADS variable) are accepted and have no
+    effect; rows come out in series-major order.
     """
-    threads = _resolve_threads(threads)
-
-    def worker(value: float) -> list[SweepRow]:
-        return _evaluate_series(spec, value)
-
-    if threads > 1 and len(spec.series_values) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(spec.series_values))) as pool:
-            per_series = list(pool.map(worker, spec.series_values))
-    else:
-        per_series = [worker(value) for value in spec.series_values]
-    rows = tuple(row for series_rows in per_series for row in series_rows)
+    rows = tuple(row for value in spec.series_values for row in _evaluate_series(spec, value))
     return SweepResult(spec=spec, rows=rows)
 
 
@@ -336,8 +326,10 @@ def trend_checks(tol: float = 1e-9, max_dim: int = fock.DIM_CAP) -> TrendReport:
     5. squeezing appearing at theta != phi_quad for some s > 0 at r = 4
        even though the initial state is unsqueezed there (fig4a).
 
-    Each assertion reports its computed numbers verbatim whether it
-    passes or fails.
+    Assertions 3-5 read their numbers from run_sweep on the preset spec
+    (fig2a and fig2b narrowed to r = 2); 1 and 2 need full distributions
+    and evaluate single points.  Each assertion reports its computed
+    numbers verbatim whether it passes or fails.
     """
     report = []
 
@@ -370,42 +362,29 @@ def trend_checks(tol: float = 1e-9, max_dim: int = fock.DIM_CAP) -> TrendReport:
         f"variances {_fmt(variances1b)} (variance grows at these parameters)",
     ))
 
-    fig2a = figure_preset("fig2a")
-    qs_vs_s = []
-    for s in fig2a.series_values:
-        point = evaluate_point(
-            replace(fig2a.fixed, r=2.0, s=s), tol=tol, max_dim=max_dim)
-        qs_vs_s.append(observables.mandel_q(point.state))
+    fig2a = replace(figure_preset("fig2a"), grid=(2.0,), tol=tol, max_dim=max_dim)
+    qs_vs_s = [row.value for row in run_sweep(fig2a).rows]
     report.append(TrendAssertion(
         "sub-poissonianity-attenuates-with-s",
         _strictly(qs_vs_s, increasing=True),
         f"Q at r=2 over s={_fmt(fig2a.series_values)}: {_fmt(qs_vs_s)}",
     ))
 
-    fig2b = figure_preset("fig2b")
-    qs_vs_w = []
-    for phi_pre in fig2b.series_values:
-        point = evaluate_point(
-            replace(fig2b.fixed, r=2.0, phi_pre=phi_pre), tol=tol, max_dim=max_dim)
-        qs_vs_w.append(observables.mandel_q(point.state))
+    fig2b = replace(figure_preset("fig2b"), grid=(2.0,), tol=tol, max_dim=max_dim)
+    qs_vs_w = [row.value for row in run_sweep(fig2b).rows]
     report.append(TrendAssertion(
         "sub-poissonianity-grows-with-weak-value",
         _strictly(qs_vs_w, increasing=False),
         f"Q at r=2, s=0.1 over phi_pre={_fmt(fig2b.series_values)}: {_fmt(qs_vs_w)}",
     ))
 
-    fig4a = figure_preset("fig4a")
+    fig4a = replace(figure_preset("fig4a"), tol=tol, max_dim=max_dim)
     s_initial = observables.analytic_s_initial(fig4a.fixed.alpha, fig4a.fixed.phi_quad)
     best = (float("inf"), 0.0, 0.0)  # (S, phi_pre, s)
-    for phi_pre in fig4a.series_values:
-        for s in fig4a.grid:
-            if s == 0.0:
-                continue
-            point = evaluate_point(
-                replace(fig4a.fixed, phi_pre=phi_pre, s=s), tol=tol, max_dim=max_dim)
-            value = observables.squeezing(point.state, fig4a.fixed.phi_quad)
-            if value < best[0]:
-                best = (value, phi_pre, s)
+    points = itertools.product(fig4a.series_values, fig4a.grid)  # series-major, as the rows
+    for (phi_pre, s), row in zip(points, run_sweep(fig4a).rows):
+        if s != 0.0 and row.value < best[0]:
+            best = (row.value, phi_pre, s)
     report.append(TrendAssertion(
         "squeezing-without-phase-matching",
         best[0] < 0.0 < s_initial,

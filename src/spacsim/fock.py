@@ -33,6 +33,13 @@ DIM_CAP = 4096
 TAIL_TOL = 1e-9
 
 
+def require_finite(**values: float) -> None:
+    """Raise InvalidParameterError naming the first non-finite value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
 def _check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"Fock dimension must be an integer >= 2, got {dim!r}")
@@ -50,6 +57,7 @@ class CoherentParams:
     theta: float = 0.0
 
     def __post_init__(self):
+        require_finite(r=self.r, theta=self.theta)
         if self.r < 0:
             raise InvalidParameterError(f"coherent modulus must be >= 0, got {self.r}")
         object.__setattr__(self, "r", float(self.r))
@@ -283,14 +291,17 @@ def adaptive_dim(
 
     Starts from floor((|alpha|+s)^2 + 10(|alpha|+s) + 20) and doubles.
     The probe displaces by the full s, which over-covers the two +-s/2
-    branches used downstream.
+    branches used downstream.  The start is clamped to cap + 1 before
+    the integer conversion, so a huge finite reach fails the cap check
+    instead of overflowing.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tolerance must be > 0, got {tol}")
+    require_finite(s=s)
     if s < 0:
         raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
     reach = alpha.r + s
-    dim = int(math.floor(reach * reach + 10.0 * reach + 20.0))
+    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, cap + 1)))
     while True:
         if dim > cap:
             raise ConvergenceError(

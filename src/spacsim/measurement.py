@@ -9,10 +9,12 @@ pointer state is
 
     |Phi> ~ (1 + w) D(s/2)|Psi> + (1 - w) D(-s/2)|Psi>
 
-with w the weak value of sigma_x.  The shipped builder normalizes
-numerically; the closed-form normalization is kept as a cross-check.
-An independent dense-matrix-exponential oracle evolves the full
-qubit (x) pointer space for validation.
+with w the weak value of sigma_x.  ``postselected_pointer`` is the one
+builder of that state: it normalizes numerically and returns the exact
+postselection probability from the same superposition.  The
+closed-form normalization is kept as a cross-check, and an independent
+dense-matrix-exponential oracle evolves the full qubit (x) pointer
+space for validation.
 """
 
 from __future__ import annotations
@@ -31,10 +33,20 @@ from .errors import (
     OracleDimensionError,
     UndefinedWeakValueError,
 )
-from .fock import CoherentParams, StateVector, displacement_matrix, quadrature_ops
+from .fock import (
+    CoherentParams,
+    StateVector,
+    displacement_matrix,
+    quadrature_ops,
+    require_finite,
+)
 
 #: largest pointer dimension the dense-exponential oracle will accept
 ORACLE_DIM_LIMIT = 512
+
+#: keeps the naive postselection probability representable and the
+#: branch cancellations benign
+PHI_PRE_CAP = 0.999 * math.pi
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -44,20 +56,22 @@ class SelectionConfig:
     """Pre/postselection angles: polar angle phi_pre and relative phase delta.
 
     phi_pre = pi makes the preselection orthogonal to the postselected
-    |H> and is rejected.
+    |H> and is rejected; so is anything above PHI_PRE_CAP = 0.999*pi.
     """
 
     phi_pre: float
     delta: float = 0.0
 
     def __post_init__(self):
+        require_finite(phi_pre=self.phi_pre, delta=self.delta)
         if self.phi_pre == math.pi:
             raise UndefinedWeakValueError(
-                "phi_pre = pi: pre- and postselection are orthogonal"
+                "phi_pre = pi: pre- and postselection are orthogonal, "
+                "the weak value is undefined"
             )
-        if not 0.0 <= self.phi_pre < math.pi:
+        if not 0.0 <= self.phi_pre <= PHI_PRE_CAP:
             raise InvalidParameterError(
-                f"phi_pre must lie in [0, pi), got {self.phi_pre}"
+                f"phi_pre must lie in [0, 0.999*pi], got {self.phi_pre}"
             )
 
     @property
@@ -77,17 +91,15 @@ class MeasurementConfig:
     s: float
     tol: float = 1e-9
     max_dim: int = fock.DIM_CAP
-    fixed_dim: int | None = None
 
     def __post_init__(self):
+        require_finite(s=self.s)
         if self.s < 0:
             raise InvalidParameterError(f"coupling strength must be >= 0, got {self.s}")
         if not 0.0 < self.tol <= 1e-4:
             raise InvalidParameterError(f"truncation tol must be in (0, 1e-4], got {self.tol}")
 
     def resolve_dim(self, alpha: CoherentParams) -> int:
-        if self.fixed_dim is not None:
-            return self.fixed_dim
         return fock.adaptive_dim(alpha, self.s, tol=self.tol, cap=self.max_dim)
 
 
@@ -114,8 +126,9 @@ def postselected_pointer(
 ) -> tuple[StateVector, float]:
     """Conditioned pointer state and exact postselection probability.
 
-    Builds the branch superposition once; final_pointer_state and
-    true_postselection_probability are views of the same computation.
+    The probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
+    cos^2(phi_pre/2) at s = 0.  Raises DegeneratePostselectionError when
+    the two displaced branches cancel.
     """
     if not pointer.normalized:
         raise InvalidParameterError("pointer state must be normalized")
@@ -130,19 +143,6 @@ def postselected_pointer(
     final = StateVector(superposed.amplitudes / superposed_norm, normalized=True)
     probability = naive_postselection_probability(sel) * 0.25 * superposed_norm**2
     return final, probability
-
-
-def final_pointer_state(pointer: StateVector, w: complex, m: MeasurementConfig) -> StateVector:
-    """Normalized pointer state after the postselected measurement."""
-    if not pointer.normalized:
-        raise InvalidParameterError("pointer state must be normalized")
-    superposed = branch_superposition(pointer, w, m.s)
-    scale = (abs(1.0 + w) + abs(1.0 - w)) or 1.0
-    if fock.norm(superposed) < 1e-12 * scale:
-        raise DegeneratePostselectionError(
-            f"displaced branches cancel for weak value {w!r} at s={m.s}"
-        )
-    return fock.normalize(superposed)
 
 
 def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
@@ -165,20 +165,6 @@ def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
     )
     bracket = 1.0 + abs(w) ** 2 + ((1.0 + w).conjugate() * (1.0 - w) * overlap).real
     return 1.0 / math.sqrt(2.0 * bracket)
-
-
-def true_postselection_probability(
-    pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
-) -> float:
-    """Exact postselection probability including the interaction.
-
-    ||(<psi_f| (x) I) U |psi_i>|Psi>||^2; reduces to cos^2(phi_pre/2) at s=0.
-    """
-    if not pointer.normalized:
-        raise InvalidParameterError("pointer state must be normalized")
-    w = weak_value(sel)
-    superposed = branch_superposition(pointer, w, m.s)
-    return naive_postselection_probability(sel) * 0.25 * fock.norm(superposed) ** 2
 
 
 def joint_unitary_dense(dim: int, s: float) -> np.ndarray:

@@ -98,6 +98,46 @@ def test_state_convergence_failure_exit_code(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("flag", ["--r", "--theta", "--delta", "--phi-pre", "--s", "--phi-quad"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_state_rejects_non_finite(runner, flag, value):
+    result = runner.invoke(main, ["state", flag, value])
+    assert result.exit_code == 2
+    assert "must be finite" in result.output
+
+
+def test_state_huge_r_is_convergence_failure(runner):
+    result = runner.invoke(main, ["state", "--r", "1e200"])
+    assert result.exit_code == 3
+
+
+def test_sweep_caps_phi_pre_series_values(runner):
+    result = invoke(runner, [
+        "sweep", "--var", "r", "--grid", "1,2", "--series", "phi_pre",
+        "--series-values", "0.9999pi", "--observable", "mandel_q", "--s", "0.1",
+    ])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [row["status"] for row in rows] == ["InvalidParameterError"] * 2
+
+
+@pytest.mark.parametrize("grid", ["nan:2:0.5", "0:inf:1", "0:2:nan"])
+def test_sweep_rejects_non_finite_grid_bounds(runner, grid):
+    result = runner.invoke(main, [
+        "sweep", "--var", "r", "--grid", grid, "--series", "s",
+        "--series-values", "0.5", "--observable", "mandel_q",
+    ])
+    assert result.exit_code == 2
+
+
+def test_sweep_rejects_non_finite_fixed_parameter(runner):
+    result = runner.invoke(main, [
+        "sweep", "--var", "r", "--grid", "1,2", "--series", "s",
+        "--series-values", "0.5", "--observable", "mandel_q", "--delta", "nan",
+    ])
+    assert result.exit_code == 2
+
+
 def test_state_rejects_bad_tol(runner):
     result = runner.invoke(main, ["state", "--r", "1", "--tol", "0.5"])
     assert result.exit_code == 2

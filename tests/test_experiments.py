@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spacsim import errors
 from spacsim.experiments import (
@@ -15,6 +16,7 @@ from spacsim.experiments import (
     trend_checks,
 )
 from spacsim.fock import CoherentParams
+from spacsim.measurement import MeasurementConfig, SelectionConfig
 from spacsim.observables import analytic_q_initial, analytic_s_initial
 
 PI = math.pi
@@ -112,6 +114,67 @@ def test_error_rows_instead_of_abort():
     assert rows[0].status == "ok"
     assert rows[1].status == "ConvergenceError"
     assert math.isnan(rows[1].value)
+
+
+PARAM_FIELDS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad")
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PARAM_FIELDS), NON_FINITE)
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(errors.InvalidParameterError, match=field):
+        ParamSet(**{field: value})
+    library_types = {
+        "r": lambda: CoherentParams(value),
+        "theta": lambda: CoherentParams(1.0, value),
+        "delta": lambda: SelectionConfig(0.0, value),
+        "phi_pre": lambda: SelectionConfig(value),
+        "s": lambda: MeasurementConfig(value),
+    }
+    if field in library_types:
+        with pytest.raises(errors.InvalidParameterError, match=field):
+            library_types[field]()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(("r", "s", "phi_pre")), NON_FINITE)
+def test_non_finite_grid_value_becomes_status_row(swept, value):
+    grid = {"r": (1.0, 2.0), "s": (0.5, 1.0), "phi_pre": (PI / 9, PI / 3)}[swept]
+    series = "phi_pre" if swept != "phi_pre" else "s"
+    base = SweepSpec(
+        swept=swept, grid=grid, series=series, series_values=(0.5,),
+        fixed=ParamSet(r=1.0, phi_pre=PI / 9, s=0.5), observable="mandel_q",
+    )
+    clean = run_sweep(base).rows
+    rows = run_sweep(replace(base, grid=(grid[0], value, grid[1]))).rows
+    assert rows[1].status == "InvalidParameterError"
+    assert math.isnan(rows[1].value)
+    assert (rows[0], rows[2]) == clean
+
+
+def test_non_finite_series_and_photon_number_become_status_rows():
+    spec = SweepSpec(
+        swept="n", grid=(0.0, math.nan, 2.0), series="s", series_values=(math.inf, 0.5),
+        fixed=ParamSet(r=1.0, phi_pre=PI / 9), observable="p_of_n",
+    )
+    rows = run_sweep(spec).rows
+    assert [row.status for row in rows] == [
+        "InvalidParameterError", "InvalidParameterError", "InvalidParameterError",
+        "ok", "InvalidParameterError", "ok",
+    ]
+    clean = run_sweep(replace(spec, grid=(0.0, 2.0), series_values=(0.5,))).rows
+    assert (rows[3], rows[5]) == clean
+
+
+def test_phi_pre_series_above_cap_gives_error_rows():
+    spec = SweepSpec(
+        swept="r", grid=(1.0, 2.0), series="phi_pre", series_values=(0.9999 * PI, PI / 3),
+        fixed=ParamSet(s=0.1), observable="mandel_q",
+    )
+    rows = run_sweep(spec).rows
+    assert [row.status for row in rows[:2]] == ["InvalidParameterError"] * 2
+    assert [row.status for row in rows[2:]] == ["ok", "ok"]
 
 
 def test_photon_number_sweep_full_distribution():

@@ -261,6 +261,14 @@ def test_adaptive_dim_cap():
         adaptive_dim(CoherentParams(60.0), 0.0, cap=4096)
 
 
+def test_adaptive_dim_huge_reach_hits_cap_before_overflow():
+    # (r + s)^2 overflows to inf here; the cap check must come first
+    with pytest.raises(errors.ConvergenceError):
+        adaptive_dim(CoherentParams(1e200), 0.0)
+    with pytest.raises(errors.ConvergenceError):
+        adaptive_dim(CoherentParams(1.0), 1e300)
+
+
 # ---------------------------------------------------------------- linalg ops
 
 def test_vacuum_inner_product():

@@ -12,13 +12,11 @@ from spacsim.measurement import (
     SelectionConfig,
     analytic_beta,
     branch_superposition,
-    final_pointer_state,
     joint_evolution_project,
     joint_unitary_branches,
     joint_unitary_dense,
     naive_postselection_probability,
     postselected_pointer,
-    true_postselection_probability,
     weak_value,
 )
 
@@ -27,6 +25,11 @@ PI = math.pi
 
 def fidelity(a, b) -> float:
     return abs(inner_product(a, b))
+
+
+def selection_for(w: complex) -> SelectionConfig:
+    """Selection whose weak value e^{i delta} tan(phi_pre/2) equals w."""
+    return SelectionConfig(2 * math.atan(abs(w)), cmath.phase(w))
 
 
 def weak_value_2x2(phi_pre: float, delta: float) -> complex:
@@ -80,6 +83,12 @@ def test_selection_rejects_out_of_range():
         SelectionConfig(1.5 * PI, 0.0)
 
 
+def test_selection_caps_phi_pre():
+    SelectionConfig(0.999 * PI)
+    with pytest.raises(errors.InvalidParameterError, match="0.999"):
+        SelectionConfig(0.9999 * PI)
+
+
 def test_measurement_config_rejects_negative_strength():
     with pytest.raises(errors.InvalidParameterError):
         MeasurementConfig(-0.5)
@@ -104,7 +113,7 @@ def test_true_probability_reduces_to_naive_at_s_zero():
     pointer = spacs_state(CoherentParams(2.0, PI / 9), 60)
     sel = SelectionConfig(PI / 3, PI / 4)
     naive = naive_postselection_probability(sel)
-    true = true_postselection_probability(pointer, sel, MeasurementConfig(0.0, fixed_dim=60))
+    _, true = postselected_pointer(pointer, sel, MeasurementConfig(0.0))
     assert true == pytest.approx(naive, abs=1e-14)
 
 
@@ -112,11 +121,9 @@ def test_true_probability_frozen_values():
     # frozen from the dense-oracle run at dim 120/160
     pointer = spacs_state(CoherentParams(2.0, PI / 9), 90)
     sel = SelectionConfig(PI / 3, PI / 4)
-    p_half = true_postselection_probability(pointer, sel, MeasurementConfig(0.5, fixed_dim=90))
+    _, p_half = postselected_pointer(pointer, sel, MeasurementConfig(0.5))
     assert p_half == pytest.approx(0.83423152942618839, abs=1e-9)
-    p_flat = true_postselection_probability(
-        pointer, SelectionConfig(0.0, 0.0), MeasurementConfig(1.0, fixed_dim=90)
-    )
+    _, p_flat = postselected_pointer(pointer, SelectionConfig(0.0, 0.0), MeasurementConfig(1.0))
     assert p_flat == pytest.approx(0.46756600857048475, abs=1e-9)
     assert 0.0 < p_flat <= 1.0
 
@@ -124,25 +131,23 @@ def test_true_probability_frozen_values():
 def test_true_probability_matches_oracle():
     pointer = spacs_state(CoherentParams(2.0, PI / 9), 90)
     sel = SelectionConfig(PI / 3, PI / 4)
-    mconf = MeasurementConfig(0.1, fixed_dim=90)
+    mconf = MeasurementConfig(0.1)
     _, oracle_prob = joint_evolution_project(pointer, sel, mconf)
-    assert true_postselection_probability(pointer, sel, mconf) == pytest.approx(
-        oracle_prob, abs=1e-12
-    )
+    assert postselected_pointer(pointer, sel, mconf)[1] == pytest.approx(oracle_prob, abs=1e-12)
 
 
 # ---------------------------------------------------------------- final state
 
 def test_final_state_unchanged_at_s_zero():
     pointer = spacs_state(CoherentParams(1.3, 0.4), 40)
-    final = final_pointer_state(pointer, 0.7 + 0.1j, MeasurementConfig(0.0, fixed_dim=40))
+    final, _ = postselected_pointer(pointer, selection_for(0.7 + 0.1j), MeasurementConfig(0.0))
     np.testing.assert_allclose(final.amplitudes, pointer.amplitudes, atol=1e-14)
 
 
 def test_final_state_single_branch_at_unit_weak_value():
     dim = 60
     pointer = spacs_state(CoherentParams(1.5), dim)
-    final = final_pointer_state(pointer, 1.0, MeasurementConfig(0.8, fixed_dim=dim))
+    final, _ = postselected_pointer(pointer, selection_for(1.0), MeasurementConfig(0.8))
     displaced = fock.normalize(
         fock.apply(fock.displacement_matrix(0.4, dim), pointer)
     )
@@ -152,15 +157,15 @@ def test_final_state_single_branch_at_unit_weak_value():
 def test_final_state_requires_normalized_pointer():
     raw = fock.StateVector(np.ones(8, complex))
     with pytest.raises(errors.InvalidParameterError):
-        final_pointer_state(raw, 0.0, MeasurementConfig(0.1, fixed_dim=8))
+        postselected_pointer(raw, selection_for(0.0), MeasurementConfig(0.1))
 
 
 def test_final_state_matches_oracle_reference_point():
     dim = 90
     pointer = spacs_state(CoherentParams(2.0, PI / 9), dim)
     sel = SelectionConfig(PI / 3, PI / 4)
-    mconf = MeasurementConfig(0.5, fixed_dim=dim)
-    final = final_pointer_state(pointer, weak_value(sel), mconf)
+    mconf = MeasurementConfig(0.5)
+    final, _ = postselected_pointer(pointer, sel, mconf)
     oracle_state, _ = joint_evolution_project(pointer, sel, mconf)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
@@ -168,7 +173,7 @@ def test_final_state_matches_oracle_reference_point():
 def test_small_coupling_continuity():
     dim = 50
     pointer = spacs_state(CoherentParams(1.2, 0.3), dim)
-    final = final_pointer_state(pointer, 0.5, MeasurementConfig(1e-6, fixed_dim=dim))
+    final, _ = postselected_pointer(pointer, selection_for(0.5), MeasurementConfig(1e-6))
     assert fidelity(final, pointer) > 1 - 1e-10
 
 
@@ -176,20 +181,8 @@ def test_final_state_normalized_for_large_weak_values():
     dim = 70
     pointer = spacs_state(CoherentParams(1.0, 0.2), dim)
     sel = SelectionConfig(0.99 * PI, 0.6)
-    final = final_pointer_state(pointer, weak_value(sel), MeasurementConfig(1.5, fixed_dim=dim))
+    final, _ = postselected_pointer(pointer, sel, MeasurementConfig(1.5))
     assert abs(norm(final) - 1.0) < 1e-12
-
-
-def test_postselected_pointer_consistent_with_individual_ops():
-    dim = 60
-    pointer = spacs_state(CoherentParams(1.7, 1.0), dim)
-    sel = SelectionConfig(PI / 3, 0.9)
-    mconf = MeasurementConfig(0.7, fixed_dim=dim)
-    combined_state, combined_prob = postselected_pointer(pointer, sel, mconf)
-    separate_state = final_pointer_state(pointer, weak_value(sel), mconf)
-    separate_prob = true_postselection_probability(pointer, sel, mconf)
-    np.testing.assert_array_equal(combined_state.amplitudes, separate_state.amplitudes)
-    assert combined_prob == separate_prob
 
 
 # ---------------------------------------------------------------- beta
@@ -234,7 +227,7 @@ def test_beta_positive_and_finite(r, theta, phi_pre, delta, s):
 def test_oracle_identity_at_s_zero():
     pointer = spacs_state(CoherentParams(1.1, 0.5), 40)
     sel = SelectionConfig(PI / 3, PI / 5)
-    state, prob = joint_evolution_project(pointer, sel, MeasurementConfig(0.0, fixed_dim=40))
+    state, prob = joint_evolution_project(pointer, sel, MeasurementConfig(0.0))
     assert prob == pytest.approx(naive_postselection_probability(sel), abs=1e-12)
     assert fidelity(state, pointer) > 1 - 1e-12
 
@@ -254,7 +247,7 @@ def test_two_branch_decomposition_identity(s):
 def test_oracle_rejects_large_dimension():
     pointer = fock_state(0, 600)
     with pytest.raises(errors.OracleDimensionError):
-        joint_evolution_project(pointer, SelectionConfig(0.1), MeasurementConfig(0.1, fixed_dim=600))
+        joint_evolution_project(pointer, SelectionConfig(0.1), MeasurementConfig(0.1))
 
 
 def test_oracle_agreement_small_grid():
@@ -268,7 +261,7 @@ def test_oracle_agreement_small_grid():
         dim = fock.adaptive_dim(alpha, s)
         pointer = spacs_state(alpha, dim)
         sel = SelectionConfig(phi_pre, delta)
-        mconf = MeasurementConfig(s, fixed_dim=dim)
+        mconf = MeasurementConfig(s)
         final, prob = postselected_pointer(pointer, sel, mconf)
         oracle_state, oracle_prob = joint_evolution_project(pointer, sel, mconf)
         assert fidelity(final, oracle_state) > 1 - 1e-9
