@@ -117,15 +117,16 @@ def check_oracle_grid() -> CheckOutcome:
                         sel = SelectionConfig(phi_pre, delta)
                         mconf = MeasurementConfig(s)
                         w = measurement.weak_value(sel)
-                        final, prob = measurement.postselected_pointer(pointer, sel, mconf)
+                        final, prob = measurement.postselected_pointer(alpha, dim, sel, mconf)
                         oracle_state, oracle_prob = measurement.joint_evolution_project(
                             pointer, sel, mconf
                         )
                         infid = 1.0 - abs(fock.inner_product(oracle_state, final))
                         prob_diff = abs(prob - oracle_prob)
+                        # prob = naive * ||superposition||^2 / 4 gives 1/||superposition||
+                        naive = measurement.naive_postselection_probability(sel)
                         beta_diff = abs(
-                            measurement.analytic_beta(alpha, w, s)
-                            - 1.0 / fock.norm(measurement.branch_superposition(pointer, w, s))
+                            measurement.analytic_beta(alpha, w, s) - 0.5 * math.sqrt(naive / prob)
                         )
                         if max(infid, prob_diff, beta_diff) > max(worst_infid, worst_prob, worst_beta):
                             worst_at = f"r={r}, theta={theta:.4g}, delta={delta:.4g}, phi={phi_pre:.4g}, s={s}"

@@ -35,6 +35,10 @@ _DEFAULTS = {
 }
 
 
+#: most points a start:stop:step range may expand to
+MAX_GRID_POINTS = 100_000
+
+
 class NumericFailure(click.ClickException):
     exit_code = 3
 
@@ -188,7 +192,13 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise click.UsageError(f"bad grid bounds {text!r}")
-        count = int(round((stop - start) / step)) + 1
+        # a float first: a tiny step gives inf here, not an OverflowError in int()
+        steps = (stop - start) / step
+        if not steps + 1.0 <= MAX_GRID_POINTS:
+            raise click.UsageError(
+                f"grid {text!r} asks for {steps + 1.0:.3g} points; at most {MAX_GRID_POINTS}"
+            )
+        count = int(round(steps)) + 1
         return tuple(start + (stop - start) * i / (count - 1) for i in range(count)) \
             if count > 1 else (start,)
     parse = parse_angle if angle else float

@@ -125,9 +125,8 @@ def evaluate_point(
     mconf = MeasurementConfig(params.s, tol=tol, max_dim=max_dim)
     alpha = params.alpha
     dim = mconf.resolve_dim(alpha)
-    pointer = fock.spacs_state(alpha, dim, tail_tol=tol)
     w = measurement.weak_value(sel)
-    final, true_prob = measurement.postselected_pointer(pointer, sel, mconf)
+    final, true_prob = measurement.postselected_pointer(alpha, dim, sel, mconf)
     return PointResult(
         params=params,
         dim=dim,

@@ -1,14 +1,20 @@
-"""Truncated Fock-space core: states, ladder/quadrature operators,
-displacement matrices, and adaptive truncation control.
+"""Truncated Fock-space core: states, closed-form displaced states,
+ladder/quadrature operators, displacement matrices, and adaptive
+truncation control.
 
-Conventions: basis states are |0>..|dim-1>, amplitudes are complex128
-ndarrays, operators are dense complex (dim, dim) ndarrays.  All values
+Conventions: basis states are |0>..|dim-1> and amplitudes are complex128
+ndarrays.  The main path works on O(dim) amplitude vectors only:
+displaced photon-added coherent states come in closed form from
+``displaced_spacs``.  The dense complex (dim, dim) operator matrices
+(ladder, quadrature, displacement) serve the dense-exponential oracle,
+the criterion-3 identity check and the tests as references.  All values
 are immutable after construction and every function is pure, so
 everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,7 +32,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-#: default cap for adaptive truncation; dense matrices stay desk-sized
+#: default cap for adaptive truncation and the largest max_dim the CLI accepts
 DIM_CAP = 4096
 
 #: default pre-normalization tail mass tolerated by state constructors
@@ -178,6 +184,33 @@ def coherent_state(
     return StateVector(raw / math.sqrt(kept), normalized=True)
 
 
+def _photon_added(raw: np.ndarray) -> np.ndarray:
+    """a_dag applied over the truncated basis: component n is sqrt(n) raw[n-1]."""
+    added = np.zeros_like(raw)
+    added[1:] = np.sqrt(np.arange(1, raw.shape[0], dtype=np.float64)) * raw[:-1]
+    return added
+
+
+def _spacs_amplitudes(
+    alpha: CoherentParams, dim: int, tail_tol: float | None
+) -> tuple[np.ndarray, float]:
+    """Truncated a_dag|alpha> before normalization, and its retained norm.
+
+    Raises TruncationError when the discarded share of the exact norm^2
+    1 + |alpha|^2 exceeds tail_tol; tail_tol=None skips the check.
+    """
+    dim = _check_dim(dim)
+    added = _photon_added(_coherent_amplitudes(alpha, dim))
+    kept = float(np.sum(np.abs(added) ** 2))
+    tail = max(0.0, 1.0 - kept / (1.0 + alpha.mod_sq))
+    if tail_tol is not None and tail > tail_tol:
+        raise TruncationError(
+            f"photon-added coherent state r={alpha.r} keeps tail mass {tail:.3e} "
+            f"at dim={dim} (tolerance {tail_tol:.3e})"
+        )
+    return added, math.sqrt(kept)
+
+
 def spacs_state(
     alpha: CoherentParams, dim: int, tail_tol: float | None = TAIL_TOL
 ) -> StateVector:
@@ -187,19 +220,41 @@ def spacs_state(
     returned amplitudes are normalized numerically over the truncated
     basis, so that constant never enters the numerics.  c_0 = 0 always.
     """
-    dim = _check_dim(dim)
-    raw = _coherent_amplitudes(alpha, dim)
-    added = np.zeros(dim, dtype=np.complex128)
-    added[1:] = np.sqrt(np.arange(1, dim, dtype=np.float64)) * raw[:-1]
-    kept = float(np.sum(np.abs(added) ** 2))
-    # exact norm^2 of a_dag|alpha> is 1 + |alpha|^2
-    tail = max(0.0, 1.0 - kept / (1.0 + alpha.mod_sq))
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"photon-added coherent state r={alpha.r} keeps tail mass {tail:.3e} "
-            f"at dim={dim} (tolerance {tail_tol:.3e})"
-        )
-    return StateVector(added / math.sqrt(kept), normalized=True)
+    added, kept_norm = _spacs_amplitudes(alpha, dim, tail_tol)
+    return StateVector(added / kept_norm, normalized=True)
+
+
+def displaced_spacs(
+    alpha: CoherentParams,
+    shifts: tuple[complex, ...],
+    dim: int,
+    tail_tol: float | None = TAIL_TOL,
+) -> list[np.ndarray]:
+    """D(b)|Psi> for each b in shifts, with |Psi> = spacs_state(alpha, dim, tail_tol).
+
+    Closed form, O(dim) per shift and no displacement matrix:
+    D(b) a_dag|alpha> = e^{(b alpha* - b* alpha)/2} (a_dag - b*)|alpha + b>,
+    because D(b)^dag a_dag D(b) = a_dag + b* (Agarwal and Tara, PRA 43,
+    492 (1991)).  Component n is the exact amplitude, truncated rather
+    than renormalized: every branch is divided by the retained norm that
+    spacs_state divides by, so b = 0 returns the pointer's amplitudes
+    exactly and the retained mass of a branch measures its truncation.
+    """
+    added, kept_norm = _spacs_amplitudes(alpha, dim, tail_tol)
+    a = alpha.alpha
+    branches = []
+    for b in shifts:
+        b = complex(b)
+        if b == 0:
+            branches.append(added / kept_norm)
+            continue
+        beta = a + b
+        # math.atan2, not cmath.phase: the latter raises when the angle underflows
+        beta_polar = CoherentParams(abs(beta), math.atan2(beta.imag, beta.real))
+        raw = _coherent_amplitudes(beta_polar, added.shape[0])
+        phase = cmath.exp(1j * (b * a.conjugate()).imag)
+        branches.append(phase * (_photon_added(raw) - b.conjugate() * raw) / kept_norm)
+    return branches
 
 
 def _fill_displacement_band(out: np.ndarray, beta: complex, lower: bool) -> None:
@@ -233,30 +288,24 @@ def _fill_displacement_band(out: np.ndarray, beta: complex, lower: bool) -> None
             out[j, j + 1 :] = m_new[1 : dim - j]
 
 
-@lru_cache(maxsize=128)
-def _displacement_readonly(beta: complex, dim: int) -> np.ndarray:
-    """Cached, write-protected displacement matrix shared by hot paths."""
-    if beta == 0:
-        out = np.eye(dim, dtype=np.complex128)
-    else:
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        _fill_displacement_band(out, beta, lower=True)
-        # upper triangle: <m|D(beta)|n> for m < n equals the lower-triangle
-        # formula evaluated at -conj(beta) with the roles of m, n swapped
-        _fill_displacement_band(out, -beta.conjugate(), lower=False)
-    out.setflags(write=False)
-    return out
-
-
 def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     """Dense matrix of D(beta) = exp(beta a_dag - beta* a) on the truncated basis.
 
     Built from the analytic matrix-element formula, never from a matrix
     exponential.  D(0) is the exact identity.  Accuracy degrades
     gracefully with truncation; gate with unitarity_defect when in doubt.
+    O(dim^2) memory and time: the main path uses displaced_spacs instead.
     """
     dim = _check_dim(dim)
-    return _displacement_readonly(complex(beta), dim).copy()
+    beta = complex(beta)
+    if beta == 0:
+        return np.eye(dim, dtype=np.complex128)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    _fill_displacement_band(out, beta, lower=True)
+    # upper triangle: <m|D(beta)|n> for m < n equals the lower-triangle
+    # formula evaluated at -conj(beta) with the roles of m, n swapped
+    _fill_displacement_band(out, -beta.conjugate(), lower=False)
+    return out
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -274,8 +323,7 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
     """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation."""
-    psi = spacs_state(alpha, dim, tail_tol=None)
-    shifted = np.einsum("ij,j->i", _displacement_readonly(complex(s), dim), psi.amplitudes)
+    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=None)
     probs = np.abs(shifted) ** 2
     mass = float(np.sum(probs))
     mean = float(np.sum(np.arange(dim) * probs)) / mass

@@ -10,11 +10,14 @@ pointer state is
     |Phi> ~ (1 + w) D(s/2)|Psi> + (1 - w) D(-s/2)|Psi>
 
 with w the weak value of sigma_x.  ``postselected_pointer`` is the one
-builder of that state: it normalizes numerically and returns the exact
-postselection probability from the same superposition.  The
-closed-form normalization is kept as a cross-check, and an independent
-dense-matrix-exponential oracle evolves the full qubit (x) pointer
-space for validation.
+builder of that state: it takes the pointer's parameters (alpha and the
+Fock dimension), builds both displaced branches in closed form in
+O(dim) (``fock.displaced_spacs``, no displacement matrix), normalizes
+numerically and returns the exact postselection probability from the
+same superposition.  The closed-form normalization is kept as a
+cross-check, and an independent dense-matrix-exponential oracle evolves
+the full qubit (x) pointer space for validation; it takes the pointer
+as a state vector and shares no code with the closed-form branches.
 """
 
 from __future__ import annotations
@@ -113,27 +116,35 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
     return math.cos(0.5 * sel.phi_pre) ** 2
 
 
-def branch_superposition(pointer: StateVector, w: complex, s: float) -> StateVector:
-    """(1+w) D(s/2)|pointer> + (1-w) D(-s/2)|pointer>, unnormalized."""
-    plus = fock.apply(fock._displacement_readonly(complex(0.5 * s), pointer.dim), pointer)
-    minus = fock.apply(fock._displacement_readonly(complex(-0.5 * s), pointer.dim), pointer)
-    amps = (1.0 + w) * plus.amplitudes + (1.0 - w) * minus.amplitudes
-    return StateVector(amps, normalized=False)
+def branch_superposition(
+    alpha: CoherentParams, dim: int, w: complex, s: float,
+    tail_tol: float | None = fock.TAIL_TOL,
+) -> StateVector:
+    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, unnormalized, for the pointer
+    |Psi> = spacs_state(alpha, dim, tail_tol).
+
+    Both branches come in closed form from fock.displaced_spacs, which
+    raises TruncationError as spacs_state does.
+    """
+    plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim, tail_tol)
+    return StateVector((1.0 + w) * plus + (1.0 - w) * minus, normalized=False)
 
 
 def postselected_pointer(
-    pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
+    alpha: CoherentParams, dim: int, sel: SelectionConfig, m: MeasurementConfig
 ) -> tuple[StateVector, float]:
     """Conditioned pointer state and exact postselection probability.
 
-    The probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
+    The pointer is the photon-added coherent state a_dag|alpha> on a
+    dim-dimensional basis, held to the tail tolerance m.tol exactly as
+    spacs_state(alpha, dim, tail_tol=m.tol) holds it (TruncationError
+    otherwise); at s = 0 the returned state is that pointer.  The
+    probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
     cos^2(phi_pre/2) at s = 0.  Raises DegeneratePostselectionError when
     the two displaced branches cancel.
     """
-    if not pointer.normalized:
-        raise InvalidParameterError("pointer state must be normalized")
     w = weak_value(sel)
-    superposed = branch_superposition(pointer, w, m.s)
+    superposed = branch_superposition(alpha, dim, w, m.s, tail_tol=m.tol)
     superposed_norm = fock.norm(superposed)
     scale = (abs(1.0 + w) + abs(1.0 - w)) or 1.0
     if superposed_norm < 1e-12 * scale:

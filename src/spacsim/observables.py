@@ -1,9 +1,10 @@
 """Photon statistics and quadrature squeezing.
 
 Number-operator moments come straight from |c_n|^2 sums (exact, O(dim));
-quadrature variances are centered so they are nonnegative term by term,
-which makes the bounds Q >= -1 and S >= -1/2 structural rather than
-numerical accidents.
+the tridiagonal quadrature acts as two shifted sqrt(n) vectors (O(dim),
+no operator matrix).  Quadrature variances are centered so they are
+nonnegative term by term, which makes the bounds Q >= -1 and S >= -1/2
+structural rather than numerical accidents.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import fock
 from .errors import InvalidParameterError, UndefinedQError
-from .fock import CoherentParams, StateVector, phase_quadrature
+from .fock import CoherentParams, StateVector
 
 
 def photon_distribution(state: StateVector) -> np.ndarray:
@@ -53,15 +54,22 @@ def analytic_q_initial(alpha: CoherentParams) -> float:
 def squeezing(state: StateVector, phi: float) -> float:
     """Squeezing parameter S_phi = Var(X_phi) - 1/2 of a normalized state.
 
-    S_phi < 0 certifies squeezing of the phi quadrature below the vacuum
-    variance 1/2.
+    X_phi = (a e^{-i phi} + a_dag e^{i phi}) / sqrt(2) is applied on the
+    truncated basis as two shifted sqrt(n) vectors, the same truncation
+    as fock.phase_quadrature without building the matrix.  S_phi < 0
+    certifies squeezing of the phi quadrature below the vacuum variance
+    1/2.
     """
     if not state.normalized:
         raise InvalidParameterError("squeezing requires a normalized state")
-    x_phi = phase_quadrature(state.dim, phi)
-    shifted = fock.apply(x_phi, state)
-    mean = float(np.vdot(state.amplitudes, shifted.amplitudes).real)
-    centered = shifted.amplitudes - mean * state.amplitudes
+    amps = state.amplitudes
+    ph = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2.0)
+    root_n = np.sqrt(np.arange(1, state.dim, dtype=np.float64))
+    shifted = np.zeros_like(amps)
+    shifted[:-1] = ph.conjugate() * root_n * amps[1:]  # a: sqrt(n+1) c_{n+1}
+    shifted[1:] += ph * root_n * amps[:-1]  # a_dag: sqrt(n) c_{n-1}
+    mean = float(np.vdot(amps, shifted).real)
+    centered = shifted - mean * amps
     variance = float(np.vdot(centered, centered).real)
     return variance - 0.5
 

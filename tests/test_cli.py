@@ -130,6 +130,18 @@ def test_sweep_rejects_non_finite_grid_bounds(runner, grid):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-320", "0:1:1e-9", "0:10:1e-4"])
+def test_sweep_rejects_oversized_range_grid(runner, grid):
+    # rejected from the float point count, before any grid is allocated
+    for grid_arg, series_arg in ((grid, "0.5"), ("1,2", grid)):
+        result = runner.invoke(main, [
+            "sweep", "--var", "r", "--grid", grid_arg, "--series", "s",
+            "--series-values", series_arg, "--observable", "mandel_q",
+        ])
+        assert result.exit_code == 2
+        assert "at most 100000" in result.output
+
+
 def test_sweep_rejects_non_finite_fixed_parameter(runner):
     result = runner.invoke(main, [
         "sweep", "--var", "r", "--grid", "1,2", "--series", "s",

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacsim import errors
+from spacsim import errors, fock
 from spacsim.experiments import (
     FIGURE_IDS,
     ParamSet,
@@ -17,7 +18,7 @@ from spacsim.experiments import (
 )
 from spacsim.fock import CoherentParams
 from spacsim.measurement import MeasurementConfig, SelectionConfig
-from spacsim.observables import analytic_q_initial, analytic_s_initial
+from spacsim.observables import analytic_q_initial, analytic_s_initial, squeezing
 
 PI = math.pi
 
@@ -279,3 +280,18 @@ def test_trend_report_structure():
     ]
     for assertion in report.assertions:
         assert assertion.detail  # numbers are always reported
+
+
+def test_point_memory_stays_linear_in_dim():
+    # dim 1151 here: one dense (dim, dim) complex matrix alone would be 21 MB
+    params = ParamSet(r=28.0, phi_pre=PI / 3, s=1.0, phi_quad=PI / 2)
+    fock.adaptive_dim.cache_clear()  # so the dimension probe runs inside the trace
+    tracemalloc.start()
+    try:
+        point = evaluate_point(params)
+        squeezing(point.state, params.phi_quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert point.dim == 1151
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"

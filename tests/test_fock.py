@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spacsim import errors, fock
 from spacsim.fock import (
@@ -234,6 +234,43 @@ def test_displacement_matches_coherent_shift():
     column = displacement_matrix(beta, 50)[:, 0]
     reference = coherent_state(CoherentParams(0.8, 0.6), 50).amplitudes
     assert np.max(np.abs(column - reference)) < 1e-12
+
+
+# ---------------------------------------------------------------- closed-form displaced states
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=24.0),
+    st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.sampled_from((0.5, -0.5, 1.0)),
+    st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+)
+@example(r=1.0, theta=5e-324, s=1.0, fraction=0.5, shift_angle=0.0)  # angle underflows
+def test_displaced_spacs_matches_dense_displacement(r, theta, s, fraction, shift_angle):
+    # fraction +-1/2 gives the two measurement branches, 1 the adaptive_dim probe
+    alpha = CoherentParams(r, theta)
+    dim = adaptive_dim(alpha, s)
+    b = fraction * s * np.exp(1j * shift_angle)
+    (closed,) = fock.displaced_spacs(alpha, (b,), dim)
+    dense = displacement_matrix(b, dim) @ spacs_state(alpha, dim).amplitudes
+    assert np.max(np.abs(closed - dense)) <= 1e-12
+
+
+def test_displaced_spacs_at_zero_shift_is_the_pointer():
+    alpha = CoherentParams(2.0, 0.7)
+    np.testing.assert_array_equal(
+        fock.displaced_spacs(alpha, (0.0,), 45)[0], spacs_state(alpha, 45).amplitudes
+    )
+
+
+def test_displaced_spacs_through_the_vacuum():
+    # alpha + b = 0 leaves (a_dag - b*)|0> for the closed form to build
+    alpha = CoherentParams(0.75, 0.4)
+    b = -alpha.alpha
+    (closed,) = fock.displaced_spacs(alpha, (b,), 30)
+    dense = displacement_matrix(b, 30) @ spacs_state(alpha, 30).amplitudes
+    assert np.max(np.abs(closed - dense)) <= 1e-12
 
 
 # ---------------------------------------------------------------- adaptive dim

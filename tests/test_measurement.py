@@ -110,78 +110,93 @@ def test_naive_probability_near_orthogonal():
 
 
 def test_true_probability_reduces_to_naive_at_s_zero():
-    pointer = spacs_state(CoherentParams(2.0, PI / 9), 60)
     sel = SelectionConfig(PI / 3, PI / 4)
     naive = naive_postselection_probability(sel)
-    _, true = postselected_pointer(pointer, sel, MeasurementConfig(0.0))
+    _, true = postselected_pointer(CoherentParams(2.0, PI / 9), 60, sel, MeasurementConfig(0.0))
     assert true == pytest.approx(naive, abs=1e-14)
 
 
 def test_true_probability_frozen_values():
     # frozen from the dense-oracle run at dim 120/160
-    pointer = spacs_state(CoherentParams(2.0, PI / 9), 90)
+    alpha = CoherentParams(2.0, PI / 9)
     sel = SelectionConfig(PI / 3, PI / 4)
-    _, p_half = postselected_pointer(pointer, sel, MeasurementConfig(0.5))
+    _, p_half = postselected_pointer(alpha, 90, sel, MeasurementConfig(0.5))
     assert p_half == pytest.approx(0.83423152942618839, abs=1e-9)
-    _, p_flat = postselected_pointer(pointer, SelectionConfig(0.0, 0.0), MeasurementConfig(1.0))
+    _, p_flat = postselected_pointer(alpha, 90, SelectionConfig(0.0, 0.0), MeasurementConfig(1.0))
     assert p_flat == pytest.approx(0.46756600857048475, abs=1e-9)
     assert 0.0 < p_flat <= 1.0
 
 
 def test_true_probability_matches_oracle():
-    pointer = spacs_state(CoherentParams(2.0, PI / 9), 90)
+    alpha = CoherentParams(2.0, PI / 9)
+    pointer = spacs_state(alpha, 90)
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.1)
     _, oracle_prob = joint_evolution_project(pointer, sel, mconf)
-    assert postselected_pointer(pointer, sel, mconf)[1] == pytest.approx(oracle_prob, abs=1e-12)
+    assert postselected_pointer(alpha, 90, sel, mconf)[1] == pytest.approx(oracle_prob, abs=1e-12)
 
 
 # ---------------------------------------------------------------- final state
 
 def test_final_state_unchanged_at_s_zero():
-    pointer = spacs_state(CoherentParams(1.3, 0.4), 40)
-    final, _ = postselected_pointer(pointer, selection_for(0.7 + 0.1j), MeasurementConfig(0.0))
+    alpha = CoherentParams(1.3, 0.4)
+    pointer = spacs_state(alpha, 40)
+    final, _ = postselected_pointer(alpha, 40, selection_for(0.7 + 0.1j), MeasurementConfig(0.0))
     np.testing.assert_allclose(final.amplitudes, pointer.amplitudes, atol=1e-14)
 
 
 def test_final_state_single_branch_at_unit_weak_value():
     dim = 60
-    pointer = spacs_state(CoherentParams(1.5), dim)
-    final, _ = postselected_pointer(pointer, selection_for(1.0), MeasurementConfig(0.8))
+    alpha = CoherentParams(1.5)
+    pointer = spacs_state(alpha, dim)
+    final, _ = postselected_pointer(alpha, dim, selection_for(1.0), MeasurementConfig(0.8))
     displaced = fock.normalize(
         fock.apply(fock.displacement_matrix(0.4, dim), pointer)
     )
     assert fidelity(final, displaced) > 1 - 1e-12
 
 
-def test_final_state_requires_normalized_pointer():
-    raw = fock.StateVector(np.ones(8, complex))
-    with pytest.raises(errors.InvalidParameterError):
-        postselected_pointer(raw, selection_for(0.0), MeasurementConfig(0.1))
+def test_final_state_rejects_invalid_dimension():
+    for dim in (0, 1):
+        with pytest.raises(errors.InvalidDimensionError):
+            postselected_pointer(CoherentParams(1.0), dim, selection_for(0.0), MeasurementConfig(0.1))
+
+
+def test_final_state_enforces_pointer_tail_check():
+    # the same threshold and error as spacs_state(alpha, dim, tail_tol=m.tol)
+    # (tail mass 6.5e-5 at r = 2, dim = 16)
+    alpha = CoherentParams(2.0)
+    with pytest.raises(errors.TruncationError):
+        spacs_state(alpha, 16, tail_tol=1e-6)
+    with pytest.raises(errors.TruncationError):
+        postselected_pointer(alpha, 16, selection_for(0.5), MeasurementConfig(0.1, tol=1e-6))
+    spacs_state(alpha, 16, tail_tol=1e-4)
+    postselected_pointer(alpha, 16, selection_for(0.5), MeasurementConfig(0.1, tol=1e-4))
 
 
 def test_final_state_matches_oracle_reference_point():
     dim = 90
-    pointer = spacs_state(CoherentParams(2.0, PI / 9), dim)
+    alpha = CoherentParams(2.0, PI / 9)
+    pointer = spacs_state(alpha, dim)
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.5)
-    final, _ = postselected_pointer(pointer, sel, mconf)
+    final, _ = postselected_pointer(alpha, dim, sel, mconf)
     oracle_state, _ = joint_evolution_project(pointer, sel, mconf)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
 
 def test_small_coupling_continuity():
     dim = 50
-    pointer = spacs_state(CoherentParams(1.2, 0.3), dim)
-    final, _ = postselected_pointer(pointer, selection_for(0.5), MeasurementConfig(1e-6))
+    alpha = CoherentParams(1.2, 0.3)
+    pointer = spacs_state(alpha, dim)
+    final, _ = postselected_pointer(alpha, dim, selection_for(0.5), MeasurementConfig(1e-6))
     assert fidelity(final, pointer) > 1 - 1e-10
 
 
 def test_final_state_normalized_for_large_weak_values():
     dim = 70
-    pointer = spacs_state(CoherentParams(1.0, 0.2), dim)
     sel = SelectionConfig(0.99 * PI, 0.6)
-    final, _ = postselected_pointer(pointer, sel, MeasurementConfig(1.5))
+    final, _ = postselected_pointer(CoherentParams(1.0, 0.2), dim, sel, MeasurementConfig(1.5))
     assert abs(norm(final) - 1.0) < 1e-12
 
 
@@ -201,9 +216,8 @@ def test_beta_vanishing_cross_term():
 def test_beta_matches_numeric_norm_reference_point():
     alpha = CoherentParams(2.0, PI / 9)
     dim = 90
-    pointer = spacs_state(alpha, dim)
     w = weak_value(SelectionConfig(PI / 3, PI / 4))
-    numeric = 1.0 / norm(branch_superposition(pointer, w, 0.5))
+    numeric = 1.0 / norm(branch_superposition(alpha, dim, w, 0.5))
     assert analytic_beta(alpha, w, 0.5) == pytest.approx(numeric, abs=1e-8)
 
 
@@ -262,7 +276,7 @@ def test_oracle_agreement_small_grid():
         pointer = spacs_state(alpha, dim)
         sel = SelectionConfig(phi_pre, delta)
         mconf = MeasurementConfig(s)
-        final, prob = postselected_pointer(pointer, sel, mconf)
+        final, prob = postselected_pointer(alpha, dim, sel, mconf)
         oracle_state, oracle_prob = joint_evolution_project(pointer, sel, mconf)
         assert fidelity(final, oracle_state) > 1 - 1e-9
         assert prob == pytest.approx(oracle_prob, abs=1e-9)

@@ -183,6 +183,26 @@ def test_squeezing_pi_periodic(dim, phi, seed):
     assert abs(squeezing(state, phi) - squeezing(state, phi + PI)) < 1e-12
 
 
+def dense_squeezing(state: StateVector, phi: float) -> float:
+    """Reference: the dense phase_quadrature matrix applied to the state."""
+    shifted = fock.apply(fock.phase_quadrature(state.dim, phi), state).amplitudes
+    mean = float(np.vdot(state.amplitudes, shifted).real)
+    centered = shifted - mean * state.amplitudes
+    return float(np.vdot(centered, centered).real) - 0.5
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(min_value=2, max_value=80),
+    st.floats(min_value=-2 * PI, max_value=2 * PI),
+    st.integers(0, 2**31),
+)
+def test_squeezing_matches_dense_quadrature(dim, phi, seed):
+    state = random_state(dim, seed)
+    reference = dense_squeezing(state, phi)
+    assert abs(squeezing(state, phi) - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
 # ---------------------------------------------------------------- diagnostics
 
 def test_edge_tail_mass_converged_state():
