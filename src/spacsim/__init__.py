@@ -4,7 +4,8 @@ single-photon-added coherent pointer state.
 Builds the conditioned pointer state after an impulsive qubit-pointer
 coupling followed by postselection, and evaluates its photon-number
 distribution, Mandel Q factor, and quadrature squeezing, with an
-independent dense-evolution oracle for validation.
+independent joint-evolution oracle (sparse ``expm_multiply``) for
+validation.
 """
 
 from .errors import (
@@ -13,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidParameterError,
-    OracleDimensionError,
     SpacsimError,
     TruncationError,
     UndefinedQError,

@@ -2,9 +2,10 @@
 
 Three families: closed-form pairings (numeric observables of the
 photon-added coherent state against their analytic expressions), the
-dense-exponential oracle grid (conditioned state, postselection
-probability, and normalization constant), and the qualitative trend
-assertions.  Every outcome carries its worst-case numbers.
+oracle grid against the sparse ``expm_multiply`` joint evolution
+(conditioned state, postselection probability, and normalization
+constant), and the qualitative trend assertions.  Every outcome carries
+its worst-case numbers.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def check_trends() -> CheckOutcome:
 
 
 def run_all(quick: bool = False) -> list[CheckOutcome]:
-    """Every check, slow oracle grid last; ``quick`` skips the oracle grid."""
+    """Every check, oracle grid last; ``quick`` skips the oracle grid."""
     outcomes = [
         check_q_pairing(),
         check_s_pairing(),

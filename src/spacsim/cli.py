@@ -261,7 +261,7 @@ def figure(fig_id, tol, max_dim, out, fmt, config):
 
 
 @main.command()
-@click.option("--quick", is_flag=True, help="skip the dense-oracle grid")
+@click.option("--quick", is_flag=True, help="skip the expm_multiply oracle grid")
 def check(quick):
     """Run the self-verification suite; exit 0 only if everything passes."""
     outcomes = checks.run_all(quick=quick)

@@ -39,7 +39,3 @@ class ConvergenceError(SpacsimError, RuntimeError):
 
 class DegeneratePostselectionError(SpacsimError, RuntimeError):
     """The two displaced branches cancel; the pointer state has no norm."""
-
-
-class OracleDimensionError(SpacsimError, ValueError):
-    """Joint-evolution oracle requested above its dimension limit."""

@@ -6,10 +6,10 @@ Conventions: basis states are |0>..|dim-1> and amplitudes are complex128
 ndarrays.  The main path works on O(dim) amplitude vectors only:
 displaced photon-added coherent states come in closed form from
 ``displaced_spacs``.  The dense complex (dim, dim) operator matrices
-(ladder, quadrature, displacement) serve the dense-exponential oracle,
-the criterion-3 identity check and the tests as references.  All values
-are immutable after construction and every function is pure, so
-everything here is safe to call concurrently.
+(ladder, quadrature, displacement) serve the criterion-3 identity check
+and the tests as references.  All values are immutable after
+construction and every function is pure, so everything here is safe to
+call concurrently.
 """
 
 from __future__ import annotations
@@ -125,12 +125,6 @@ def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def number_op(dim: int) -> np.ndarray:
-    """Number operator a_dagger @ a (diagonal, exact)."""
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-
-
 def quadrature_ops(dim: int, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Position and momentum quadratures X = sigma*(a_dag + a), P = i/(2 sigma)*(a_dag - a)."""
     if sigma <= 0:
@@ -139,13 +133,6 @@ def quadrature_ops(dim: int, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray
     x = sigma * (adag + a)
     p = (0.5j / sigma) * (adag - a)
     return x, p
-
-
-def phase_quadrature(dim: int, phi: float) -> np.ndarray:
-    """Rotated quadrature X_phi = (a e^{-i phi} + a_dag e^{i phi}) / sqrt(2)."""
-    a, adag = ladder_ops(dim)
-    ph = complex(math.cos(phi), math.sin(phi))
-    return (a * ph.conjugate() + adag * ph) / math.sqrt(2.0)
 
 
 def spacs_gamma_sq(mod_sq: float) -> float:
@@ -162,26 +149,6 @@ def _coherent_amplitudes(alpha: CoherentParams, dim: int) -> np.ndarray:
     n = np.arange(dim, dtype=np.float64)
     logmag = -0.5 * alpha.r * alpha.r + n * math.log(alpha.r) - 0.5 * gammaln(n + 1.0)
     return np.exp(logmag) * np.exp(1j * n * alpha.theta)
-
-
-def coherent_state(
-    alpha: CoherentParams, dim: int, tail_tol: float | None = TAIL_TOL
-) -> StateVector:
-    """Coherent state |alpha>, renormalized over the truncated basis.
-
-    Raises TruncationError when the discarded tail mass exceeds tail_tol;
-    pass tail_tol=None to skip the check.
-    """
-    dim = _check_dim(dim)
-    raw = _coherent_amplitudes(alpha, dim)
-    kept = float(np.sum(np.abs(raw) ** 2))
-    tail = max(0.0, 1.0 - kept)
-    if tail_tol is not None and tail > tail_tol:
-        raise TruncationError(
-            f"coherent state r={alpha.r} keeps tail mass {tail:.3e} at dim={dim} "
-            f"(tolerance {tail_tol:.3e})"
-        )
-    return StateVector(raw / math.sqrt(kept), normalized=True)
 
 
 def _photon_added(raw: np.ndarray) -> np.ndarray:
@@ -293,8 +260,8 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
 
     Built from the analytic matrix-element formula, never from a matrix
     exponential.  D(0) is the exact identity.  Accuracy degrades
-    gracefully with truncation; gate with unitarity_defect when in doubt.
-    O(dim^2) memory and time: the main path uses displaced_spacs instead.
+    gracefully with truncation, from the basis edge inward.  O(dim^2)
+    memory and time: the main path uses displaced_spacs instead.
     """
     dim = _check_dim(dim)
     beta = complex(beta)
@@ -306,19 +273,6 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     # formula evaluated at -conj(beta) with the roles of m, n swapped
     _fill_displacement_band(out, -beta.conjugate(), lower=False)
     return out
-
-
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """max |U^dag U - I| over the upper-left half block.
-
-    Truncation artifacts concentrate near the basis edge; the retained
-    half block of an adequately dimensioned displacement matrix is
-    unitary to near machine precision.
-    """
-    dim = matrix.shape[0]
-    half = dim // 2
-    defect = matrix.conj().T @ matrix - np.eye(dim, dtype=np.complex128)
-    return float(np.max(np.abs(defect[:half, :half])))
 
 
 def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
@@ -378,24 +332,3 @@ def normalize(state: StateVector) -> StateVector:
     if n < 1e-150:
         raise InvalidParameterError("cannot normalize a zero state vector")
     return StateVector(state.amplitudes / n, normalized=True)
-
-
-def apply(op: np.ndarray, state: StateVector) -> StateVector:
-    """op @ state as a new (unnormalized) StateVector.
-
-    Uses einsum rather than BLAS so results are bit-identical across
-    thread counts.
-    """
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise DimensionMismatchError(f"operator must be square, got shape {op.shape}")
-    if op.shape[1] != state.dim:
-        raise DimensionMismatchError(
-            f"operator dimension {op.shape[1]} does not match state dimension {state.dim}"
-        )
-    amps = np.einsum("ij,j->i", np.asarray(op, dtype=np.complex128), state.amplitudes)
-    return StateVector(amps, normalized=False)
-
-
-def expectation(op: np.ndarray, state: StateVector) -> complex:
-    """<state|op|state>."""
-    return complex(np.vdot(state.amplitudes, apply(op, state).amplitudes))

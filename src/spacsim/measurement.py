@@ -15,9 +15,11 @@ Fock dimension), builds both displaced branches in closed form in
 O(dim) (``fock.displaced_spacs``, no displacement matrix), normalizes
 numerically and returns the exact postselection probability from the
 same superposition.  The closed-form normalization is kept as a
-cross-check, and an independent dense-matrix-exponential oracle evolves
-the full qubit (x) pointer space for validation; it takes the pointer
-as a state vector and shares no code with the closed-form branches.
+cross-check, and an independent oracle evolves the full qubit (x)
+pointer space with the sparse ``expm_multiply`` for validation, at any
+dimension; it takes the pointer as a state vector and shares no code
+with the closed-form branches.  The dense ``expm`` of the coupling is
+kept only for the two-branch unitary identity check.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from . import fock
 from .errors import (
     DegeneratePostselectionError,
     InvalidParameterError,
-    OracleDimensionError,
     UndefinedWeakValueError,
 )
 from .fock import (
@@ -43,9 +44,6 @@ from .fock import (
     quadrature_ops,
     require_finite,
 )
-
-#: largest pointer dimension the dense-exponential oracle will accept
-ORACLE_DIM_LIMIT = 512
 
 #: keeps the naive postselection probability representable and the
 #: branch cancellations benign
@@ -199,20 +197,40 @@ def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
 def joint_evolution_project(
     pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
 ) -> tuple[StateVector, float]:
-    """Independent oracle: dense joint evolution, then projection onto |H>.
+    """Independent oracle: sparse joint evolution, then projection onto |H>.
+
+    Applies exp(-i s sigma_x (x) P) to |psi_i> (x) |pointer> with
+    scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)), where P = (i/2)(a_dag - a) is two sqrt(n)
+    bands in CSR form.  It shares no code with the displacement matrices
+    or the closed-form branches, and costs O(dim) per Taylor step, so it
+    accepts every dimension adaptive_dim can return.
 
     Returns the normalized projected pointer and the postselection
-    probability.  Limited to pointer dimensions <= ORACLE_DIM_LIMIT.
+    probability.
+
+    Determinism: while the generator's 1-norm, about s sqrt(dim), stays
+    below about 63, expm_multiply works from the exact norm and draws no
+    random numbers; every point of the check grid (dim <= 139, s <= 2)
+    is in that range.  Above it (dim above about 450 at s = 3, about
+    1000 at s = 2) its norm estimate (onenormest) draws from numpy's
+    global RNG; the result was bit-identical across six seeds at dims
+    779 and 1291.
     """
-    if pointer.dim > ORACLE_DIM_LIMIT:
-        raise OracleDimensionError(
-            f"oracle limited to dim <= {ORACLE_DIM_LIMIT}, got {pointer.dim}"
-        )
+    # Imported here, not at module level: scipy.sparse adds about 0.03 s to
+    # every `import spacsim`, and only this oracle needs it.
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
     if not pointer.normalized:
         raise InvalidParameterError("pointer state must be normalized")
-    unitary = joint_unitary_dense(pointer.dim, m.s)
-    joint = unitary @ np.kron(sel.preselected, pointer.amplitudes)
-    block = joint[: pointer.dim]  # <H| component in the system (x) pointer ordering
+    dim = pointer.dim
+    root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
+    momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
+    generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
+    joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
+    block = joint[:dim]  # <H| component in the system (x) pointer ordering
     probability = float(np.vdot(block, block).real)
     if probability < 1e-24:
         raise DegeneratePostselectionError(

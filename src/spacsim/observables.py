@@ -56,7 +56,7 @@ def squeezing(state: StateVector, phi: float) -> float:
 
     X_phi = (a e^{-i phi} + a_dag e^{i phi}) / sqrt(2) is applied on the
     truncated basis as two shifted sqrt(n) vectors, the same truncation
-    as fock.phase_quadrature without building the matrix.  S_phi < 0
+    as the dense (dim, dim) X_phi matrix, without building it.  S_phi < 0
     certifies squeezing of the phi quadrature below the vacuum variance
     1/2.
     """

@@ -9,18 +9,16 @@ from spacsim.fock import (
     CoherentParams,
     StateVector,
     adaptive_dim,
-    apply,
-    coherent_state,
     displacement_matrix,
-    expectation,
     fock_state,
     inner_product,
     ladder_ops,
     normalize,
-    phase_quadrature,
     quadrature_ops,
     spacs_state,
 )
+
+from _reference import apply, coherent_state, expectation, phase_quadrature, unitarity_defect
 
 
 def random_state(dim: int, seed: int) -> StateVector:
@@ -224,7 +222,7 @@ def test_displacement_unitarity_defect(beta):
     # twice the adaptive dimension for twice the displacement reach keeps
     # the retained half block unitary to well below 1e-9
     dim = 2 * adaptive_dim(CoherentParams(2 * abs(beta), float(np.angle(beta))), 0.0, tol=1e-10)
-    defect = fock.unitarity_defect(displacement_matrix(beta, dim))
+    defect = unitarity_defect(displacement_matrix(beta, dim))
     assert defect < 1e-9
 
 

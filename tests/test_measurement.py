@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spacsim import errors, fock
-from spacsim.fock import CoherentParams, fock_state, inner_product, norm, spacs_state
+from spacsim.checks import ORACLE_FIDELITY_TOL, ORACLE_PROB_TOL
+from spacsim.fock import CoherentParams, inner_product, norm, spacs_state
 from spacsim.measurement import (
     MeasurementConfig,
     SelectionConfig,
@@ -19,6 +20,8 @@ from spacsim.measurement import (
     postselected_pointer,
     weak_value,
 )
+
+from _reference import apply
 
 PI = math.pi
 
@@ -151,7 +154,7 @@ def test_final_state_single_branch_at_unit_weak_value():
     pointer = spacs_state(alpha, dim)
     final, _ = postselected_pointer(alpha, dim, selection_for(1.0), MeasurementConfig(0.8))
     displaced = fock.normalize(
-        fock.apply(fock.displacement_matrix(0.4, dim), pointer)
+        apply(fock.displacement_matrix(0.4, dim), pointer)
     )
     assert fidelity(final, displaced) > 1 - 1e-12
 
@@ -258,10 +261,25 @@ def test_two_branch_decomposition_identity(s):
     assert np.max(np.abs((dense - branches)[mask])) < 1e-8
 
 
-def test_oracle_rejects_large_dimension():
-    pointer = fock_state(0, 600)
-    with pytest.raises(errors.OracleDimensionError):
-        joint_evolution_project(pointer, SelectionConfig(0.1), MeasurementConfig(0.1))
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=16.0, max_value=28.0),
+    st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=0.9 * PI),
+    st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+)
+@example(r=28.0, theta=0.0, s=3.0, phi_pre=PI / 3, delta=0.0)  # dim 1291
+def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
+    # where the main path's truncation is hardest; dims up to 1291
+    alpha = CoherentParams(r, theta)
+    dim = fock.adaptive_dim(alpha, s)
+    sel = SelectionConfig(phi_pre, delta)
+    mconf = MeasurementConfig(s)
+    final, prob = postselected_pointer(alpha, dim, sel, mconf)
+    oracle_state, oracle_prob = joint_evolution_project(spacs_state(alpha, dim), sel, mconf)
+    assert 1.0 - fidelity(final, oracle_state) <= ORACLE_FIDELITY_TOL
+    assert abs(prob - oracle_prob) <= ORACLE_PROB_TOL
 
 
 def test_oracle_agreement_small_grid():

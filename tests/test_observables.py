@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacsim import errors, fock
-from spacsim.fock import CoherentParams, StateVector, adaptive_dim, coherent_state, fock_state, normalize, spacs_state
+from spacsim.fock import CoherentParams, StateVector, adaptive_dim, fock_state, normalize, spacs_state
 from spacsim.observables import (
     analytic_q_initial,
     analytic_s_initial,
@@ -15,6 +15,8 @@ from spacsim.observables import (
     photon_distribution,
     squeezing,
 )
+
+from _reference import apply, coherent_state, phase_quadrature
 
 PI = math.pi
 
@@ -185,7 +187,7 @@ def test_squeezing_pi_periodic(dim, phi, seed):
 
 def dense_squeezing(state: StateVector, phi: float) -> float:
     """Reference: the dense phase_quadrature matrix applied to the state."""
-    shifted = fock.apply(fock.phase_quadrature(state.dim, phi), state).amplitudes
+    shifted = apply(phase_quadrature(state.dim, phi), state).amplitudes
     mean = float(np.vdot(state.amplitudes, shifted).real)
     centered = shifted - mean * state.amplitudes
     return float(np.vdot(centered, centered).real) - 0.5
