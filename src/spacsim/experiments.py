@@ -122,9 +122,9 @@ def evaluate_point(
 ) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
     sel = params.selection
-    mconf = MeasurementConfig(params.s, tol=tol, max_dim=max_dim)
+    mconf = MeasurementConfig(params.s, tol=tol)
     alpha = params.alpha
-    dim = mconf.resolve_dim(alpha)
+    dim = fock.adaptive_dim(alpha, params.s, tol=tol, cap=max_dim)
     w = measurement.weak_value(sel)
     final, true_prob = measurement.postselected_pointer(alpha, dim, sel, mconf)
     return PointResult(

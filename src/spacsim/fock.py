@@ -1,15 +1,15 @@
 """Truncated Fock-space core: states, closed-form displaced states,
-ladder/quadrature operators, displacement matrices, and adaptive
-truncation control.
+ladder/quadrature operators, displacement matrices, and the choice of
+Fock dimension from a closed-form Poisson tail bound.
 
 Conventions: basis states are |0>..|dim-1> and amplitudes are complex128
 ndarrays.  The main path works on O(dim) amplitude vectors only:
 displaced photon-added coherent states come in closed form from
-``displaced_spacs``.  The dense complex (dim, dim) operator matrices
-(ladder, quadrature, displacement) serve the criterion-3 identity check
-and the tests as references.  All values are immutable after
-construction and every function is pure, so everything here is safe to
-call concurrently.
+``displaced_spacs``, and ``adaptive_dim`` builds no state at all.  The
+dense complex (dim, dim) operator matrices (ladder, quadrature,
+displacement) serve the criterion-3 identity check and the tests as
+references.  All values are immutable after construction and every
+function is pure, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -106,16 +106,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-
-def fock_state(n: int, dim: int) -> StateVector:
-    """Number state |n> in a dim-dimensional basis."""
-    dim = _check_dim(dim)
-    if not 0 <= n < dim:
-        raise InvalidParameterError(f"Fock index {n} outside basis of dimension {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[n] = 1.0
-    return StateVector(amps, normalized=True)
 
 
 def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,27 +265,31 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
     return out
 
 
-def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
-    """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation."""
-    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=None)
-    probs = np.abs(shifted) ** 2
-    mass = float(np.sum(probs))
-    mean = float(np.sum(np.arange(dim) * probs)) / mass
-    return mass, mean
+def _doubling_bound(reach: float, s: float, dim: int) -> float:
+    """Closed-form bound on both changes adaptive_dim tests at dim; see there."""
+    lam, k = reach * reach, dim - 3
+    log_tail = k - lam + k * math.log(lam / k) if lam else -math.inf
+    t = (lam * (lam + 3.0 + s * s) + 1.0) * math.exp(log_tail)
+    return 4.0 * t / (1.0 - 2.0 * t) if t < 0.5 else math.inf
 
 
 @lru_cache(maxsize=4096)
 def adaptive_dim(
     alpha: CoherentParams, s: float, tol: float = 1e-9, cap: int = DIM_CAP
 ) -> int:
-    """Smallest probed dimension whose doubling moves the displaced-state
-    observables (retained mass and mean photon number) by less than tol.
+    """Smallest probed dimension at which doubling moves the retained mass
+    and mean photon number of D(s) a_dag|alpha> by at most tol.
 
-    Starts from floor((|alpha|+s)^2 + 10(|alpha|+s) + 20) and doubles.
-    The probe displaces by the full s, which over-covers the two +-s/2
-    branches used downstream.  The start is clamped to cap + 1 before
-    the integer conversion, so a huge finite reach fails the cap check
-    instead of overflowing.
+    Starts from floor((|alpha|+s)^2 + 10(|alpha|+s) + 20), clamped to cap + 1
+    so a huge reach fails the cap check instead of overflowing, and doubles
+    until _doubling_bound certifies tol / 2; the other half absorbs rounding.
+    D(s) a_dag|alpha> = e^{i phi} (a_dag - s)|alpha + s> and a_dag|alpha> have
+    Poisson photon tails at means up to lam = (|alpha|+s)^2, which also cover
+    the +-s/2 branches used downstream.  By factorial moments each tail past
+    dim, weighted by 1 or n, is at most 2t, t = (lam (lam + 3 + s^2) + 1)
+    P(N >= dim - 3), so the mass moves by at most 4t / (1 - t) and the mean by
+    2t / (1 - 2t).  P is the Chernoff bound e^{-lam} (e lam / k)^k, valid for
+    k > lam, which the start dimension ensures.
     """
     if tol <= 0:
         raise InvalidParameterError(f"tolerance must be > 0, got {tol}")
@@ -309,9 +303,7 @@ def adaptive_dim(
             raise ConvergenceError(
                 f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}"
             )
-        mass_lo, mean_lo = _displaced_spacs_profile(alpha, s, dim)
-        mass_hi, mean_hi = _displaced_spacs_profile(alpha, s, 2 * dim)
-        if abs(mass_hi - mass_lo) <= tol and abs(mean_hi - mean_lo) <= tol * max(1.0, mean_hi):
+        if _doubling_bound(reach, s, dim) <= 0.5 * tol:
             return dim
         dim *= 2
 
@@ -325,10 +317,3 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
 
 def norm(state: StateVector) -> float:
     return float(np.linalg.norm(state.amplitudes))
-
-
-def normalize(state: StateVector) -> StateVector:
-    n = norm(state)
-    if n < 1e-150:
-        raise InvalidParameterError("cannot normalize a zero state vector")
-    return StateVector(state.amplitudes / n, normalized=True)

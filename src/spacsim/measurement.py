@@ -87,11 +87,10 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Coupling strength s = g/sigma plus the truncation policy."""
+    """Coupling strength s = g/sigma plus the truncation tolerance."""
 
     s: float
     tol: float = 1e-9
-    max_dim: int = fock.DIM_CAP
 
     def __post_init__(self):
         require_finite(s=self.s)
@@ -99,9 +98,6 @@ class MeasurementConfig:
             raise InvalidParameterError(f"coupling strength must be >= 0, got {self.s}")
         if not 0.0 < self.tol <= 1e-4:
             raise InvalidParameterError(f"truncation tol must be in (0, 1e-4], got {self.tol}")
-
-    def resolve_dim(self, alpha: CoherentParams) -> int:
-        return fock.adaptive_dim(alpha, self.s, tol=self.tol, cap=self.max_dim)
 
 
 def weak_value(sel: SelectionConfig) -> complex:
@@ -210,12 +206,11 @@ def joint_evolution_project(
     probability.
 
     Determinism: while the generator's 1-norm, about s sqrt(dim), stays
-    below about 63, expm_multiply works from the exact norm and draws no
-    random numbers; every point of the check grid (dim <= 139, s <= 2)
-    is in that range.  Above it (dim above about 450 at s = 3, about
-    1000 at s = 2) its norm estimate (onenormest) draws from numpy's
-    global RNG; the result was bit-identical across six seeds at dims
-    779 and 1291.
+    below about 63, expm_multiply works from the exact norm; above it
+    (dim above about 450 at s = 3) its norm estimate (onenormest) draws
+    from numpy's global RNG.  That state is saved and restored around the
+    call, so the oracle leaves np.random as it found it; the result was
+    bit-identical across six seeds at dims 779 and 1291.
     """
     # Imported here, not at module level: scipy.sparse adds about 0.03 s to
     # every `import spacsim`, and only this oracle needs it.
@@ -229,7 +224,11 @@ def joint_evolution_project(
     # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
     momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
     generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
-    joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
+    rng_state = np.random.get_state()
+    try:
+        joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
+    finally:
+        np.random.set_state(rng_state)
     block = joint[:dim]  # <H| component in the system (x) pointer ordering
     probability = float(np.vdot(block, block).real)
     if probability < 1e-24:

@@ -1,23 +1,50 @@
-"""Dense reference helpers that only the tests use.
+"""Reference helpers that only the tests use.
 
 The package's main path works on O(dim) amplitude vectors; these build
 or apply dense operators and plain truncated states, so the tests can
-compare the fast paths against a direct computation.
+compare the fast paths against a direct computation.  The numeric
+doubling probe is the reference for the closed-form dimension choice.
 """
 
 import math
 
 import numpy as np
 
-from spacsim.errors import DimensionMismatchError, TruncationError
+from spacsim.errors import (
+    ConvergenceError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    TruncationError,
+)
 from spacsim.fock import (
+    DIM_CAP,
     TAIL_TOL,
     CoherentParams,
     StateVector,
     _check_dim,
     _coherent_amplitudes,
+    displaced_spacs,
     ladder_ops,
+    norm,
+    require_finite,
 )
+
+
+def fock_state(n: int, dim: int) -> StateVector:
+    """Number state |n> in a dim-dimensional basis."""
+    dim = _check_dim(dim)
+    if not 0 <= n < dim:
+        raise InvalidParameterError(f"Fock index {n} outside basis of dimension {dim}")
+    amps = np.zeros(dim, dtype=np.complex128)
+    amps[n] = 1.0
+    return StateVector(amps, normalized=True)
+
+
+def normalize(state: StateVector) -> StateVector:
+    n = norm(state)
+    if n < 1e-150:
+        raise InvalidParameterError("cannot normalize a zero state vector")
+    return StateVector(state.amplitudes / n, normalized=True)
 
 
 def phase_quadrature(dim: int, phi: float) -> np.ndarray:
@@ -79,3 +106,41 @@ def apply(op: np.ndarray, state: StateVector) -> StateVector:
 def expectation(op: np.ndarray, state: StateVector) -> complex:
     """<state|op|state>."""
     return complex(np.vdot(state.amplitudes, apply(op, state).amplitudes))
+
+
+def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
+    """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation."""
+    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=None)
+    probs = np.abs(shifted) ** 2
+    mass = float(np.sum(probs))
+    mean = float(np.sum(np.arange(dim) * probs)) / mass
+    return mass, mean
+
+
+def probe_adaptive_dim(
+    alpha: CoherentParams, s: float, tol: float = 1e-9, cap: int = DIM_CAP
+) -> int:
+    """Smallest probed dimension whose doubling moves the displaced-state
+    observables (retained mass and mean photon number) by less than tol.
+
+    The numeric doubling probe that fock.adaptive_dim replaced with a
+    closed-form bound, kept as its reference (uncached).  Starts from
+    floor((|alpha|+s)^2 + 10(|alpha|+s) + 20) and doubles.
+    """
+    if tol <= 0:
+        raise InvalidParameterError(f"tolerance must be > 0, got {tol}")
+    require_finite(s=s)
+    if s < 0:
+        raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
+    reach = alpha.r + s
+    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, cap + 1)))
+    while True:
+        if dim > cap:
+            raise ConvergenceError(
+                f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}"
+            )
+        mass_lo, mean_lo = _displaced_spacs_profile(alpha, s, dim)
+        mass_hi, mean_hi = _displaced_spacs_profile(alpha, s, 2 * dim)
+        if abs(mass_hi - mass_lo) <= tol and abs(mean_hi - mean_lo) <= tol * max(1.0, mean_hi):
+            return dim
+        dim *= 2

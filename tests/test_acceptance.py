@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from spacsim import checks, fock
 from spacsim.cli import main as cli_main
 from spacsim.experiments import trend_checks
-from spacsim.fock import CoherentParams, adaptive_dim, fock_state, spacs_state
+from spacsim.fock import CoherentParams, adaptive_dim, spacs_state
 from spacsim.measurement import joint_unitary_branches, joint_unitary_dense
 from spacsim.observables import (
     analytic_q_initial,
@@ -21,7 +21,7 @@ from spacsim.observables import (
     squeezing,
 )
 
-from _reference import coherent_state
+from _reference import coherent_state, fock_state
 
 PI = math.pi
 

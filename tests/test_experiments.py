@@ -285,7 +285,7 @@ def test_trend_report_structure():
 def test_point_memory_stays_linear_in_dim():
     # dim 1151 here: one dense (dim, dim) complex matrix alone would be 21 MB
     params = ParamSet(r=28.0, phi_pre=PI / 3, s=1.0, phi_quad=PI / 2)
-    fock.adaptive_dim.cache_clear()  # so the dimension probe runs inside the trace
+    fock.adaptive_dim.cache_clear()  # so the dimension choice runs inside the trace
     tracemalloc.start()
     try:
         point = evaluate_point(params)

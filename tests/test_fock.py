@@ -10,15 +10,23 @@ from spacsim.fock import (
     StateVector,
     adaptive_dim,
     displacement_matrix,
-    fock_state,
     inner_product,
     ladder_ops,
-    normalize,
     quadrature_ops,
     spacs_state,
 )
 
-from _reference import apply, coherent_state, expectation, phase_quadrature, unitarity_defect
+from _reference import (
+    _displaced_spacs_profile,
+    apply,
+    coherent_state,
+    expectation,
+    fock_state,
+    normalize,
+    phase_quadrature,
+    probe_adaptive_dim,
+    unitarity_defect,
+)
 
 
 def random_state(dim: int, seed: int) -> StateVector:
@@ -302,6 +310,50 @@ def test_adaptive_dim_huge_reach_hits_cap_before_overflow():
         adaptive_dim(CoherentParams(1e200), 0.0)
     with pytest.raises(errors.ConvergenceError):
         adaptive_dim(CoherentParams(1.0), 1e300)
+
+
+def _dim_or_cap(choose, alpha, s, tol):
+    try:
+        return choose(alpha, s, tol=tol)
+    except errors.ConvergenceError:
+        return "cap"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=58.0),
+    st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.floats(min_value=-12.0, max_value=-4.0),
+)
+@example(r=28.0, theta=0.0, s=3.0, log_tol=-9.0)  # dim 1291
+@example(r=0.0, theta=0.0, s=0.0, log_tol=-9.0)  # dim 20
+def test_adaptive_dim_matches_doubling_probe(r, theta, s, log_tol):
+    alpha, tol = CoherentParams(r, theta), 10.0**log_tol
+    assert _dim_or_cap(adaptive_dim, alpha, s, tol) == _dim_or_cap(
+        probe_adaptive_dim, alpha, s, tol
+    )
+
+
+@pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 4.0, 10.0, 28.0])
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("theta", [0.0, 1.1, math.pi / 2])
+def test_doubling_bound_covers_probe_below_start(r, s, theta):
+    # between reach^2 (where the Chernoff bound starts to hold) and the start
+    # dimension, the tails are large enough to measure
+    alpha = CoherentParams(r, theta)
+    reach = r + s
+    start = int(math.floor(reach * reach + 10.0 * reach + 20.0))
+    checked = 0
+    for dim in range(int(reach * reach) + 4, start, max(1, start // 40)):
+        mass_lo, mean_lo = _displaced_spacs_profile(alpha, s, dim)
+        mass_hi, mean_hi = _displaced_spacs_profile(alpha, s, 2 * dim)
+        mass_change = abs(mass_hi - mass_lo)
+        mean_change = abs(mean_hi - mean_lo) / max(1.0, mean_hi)
+        if max(mass_change, mean_change) > 1e-13:
+            checked += 1
+            assert fock._doubling_bound(reach, s, dim) >= max(mass_change, mean_change), dim
+    assert checked > 0
 
 
 # ---------------------------------------------------------------- linalg ops

@@ -21,7 +21,7 @@ from spacsim.measurement import (
     weak_value,
 )
 
-from _reference import apply
+from _reference import apply, normalize
 
 PI = math.pi
 
@@ -153,7 +153,7 @@ def test_final_state_single_branch_at_unit_weak_value():
     alpha = CoherentParams(1.5)
     pointer = spacs_state(alpha, dim)
     final, _ = postselected_pointer(alpha, dim, selection_for(1.0), MeasurementConfig(0.8))
-    displaced = fock.normalize(
+    displaced = normalize(
         apply(fock.displacement_matrix(0.4, dim), pointer)
     )
     assert fidelity(final, displaced) > 1 - 1e-12
@@ -280,6 +280,19 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
     oracle_state, oracle_prob = joint_evolution_project(spacs_state(alpha, dim), sel, mconf)
     assert 1.0 - fidelity(final, oracle_state) <= ORACLE_FIDELITY_TOL
     assert abs(prob - oracle_prob) <= ORACLE_PROB_TOL
+
+
+def test_oracle_leaves_global_rng_untouched():
+    # at dim 1291 and s = 3 the norm estimate inside expm_multiply draws
+    # from np.random
+    alpha = CoherentParams(28.0)
+    pointer = spacs_state(alpha, fock.adaptive_dim(alpha, 3.0))
+    before = np.random.get_state()
+    joint_evolution_project(pointer, SelectionConfig(PI / 3), MeasurementConfig(3.0))
+    after = np.random.get_state()
+    assert pointer.dim == 1291
+    assert before[0] == after[0] and before[2:] == after[2:]
+    np.testing.assert_array_equal(before[1], after[1])
 
 
 def test_oracle_agreement_small_grid():

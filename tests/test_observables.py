@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spacsim import errors, fock
-from spacsim.fock import CoherentParams, StateVector, adaptive_dim, fock_state, normalize, spacs_state
+from spacsim.fock import CoherentParams, StateVector, adaptive_dim, spacs_state
 from spacsim.observables import (
     analytic_q_initial,
     analytic_s_initial,
@@ -16,7 +16,7 @@ from spacsim.observables import (
     squeezing,
 )
 
-from _reference import apply, coherent_state, phase_quadrature
+from _reference import apply, coherent_state, fock_state, normalize, phase_quadrature
 
 PI = math.pi
 

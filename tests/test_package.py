@@ -1,0 +1,40 @@
+"""Source-level guards on the package's public surface."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spacsim"
+
+
+def _is_cli_command(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # a public function only the tests use belongs in tests/_reference.py;
+    # re-exports from the package root do not count as callers
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    public = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not _is_cli_command(node)
+    ]
+    referenced = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and module != "__init__.py":
+                referenced.update(alias.name for alias in node.names)
+    assert public
+    unused = [f"{module}:{name}" for module, name in public if name not in referenced]
+    assert unused == []
