@@ -4,8 +4,8 @@ Commands: ``state`` (single-point record), ``sweep`` (custom sweep),
 ``figure <id>`` (bundled presets fig1a..fig4b), ``check`` (self
 verification).  Angles accept rational-pi strings such as ``pi/9`` or
 ``2pi/3`` so preset parameters can be reproduced bit-exactly.  Exit
-codes: 0 success, 1 failed check, 2 usage or validation error,
-3 numerical convergence failure.
+codes: 0 success, 1 failed check, 2 usage, validation or file I/O
+error, 3 numerical convergence failure.
 """
 
 from __future__ import annotations
@@ -43,6 +43,19 @@ class NumericFailure(click.ClickException):
     exit_code = 3
 
 
+class FileFailure(click.ClickException):
+    """A config file that cannot be read or an output that cannot be written."""
+
+    exit_code = 2
+
+
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise click.UsageError(f"cannot parse number {text!r}")
+
+
 def parse_angle(text: str) -> float:
     """Angle in radians from a decimal or a rational multiple of pi."""
     text = text.strip()
@@ -52,7 +65,10 @@ def parse_angle(text: str) -> float:
         coeff = float(match.group(2)) if match.group(2) else 1.0
         value = sign * coeff * math.pi
         if match.group(3):
-            value /= float(match.group(3))
+            divisor = float(match.group(3))
+            if divisor == 0.0:
+                raise click.UsageError(f"angle {text!r} divides by zero")
+            value /= divisor
         return value
     try:
         return float(text)
@@ -63,8 +79,12 @@ def parse_angle(text: str) -> float:
 def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFailure(f"cannot read config {path}: {exc}")
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -91,12 +111,7 @@ def _merge(flag_values: dict[str, str | None], config: dict[str, str]) -> dict[s
 def _build_params(merged: dict[str, str]) -> ParamSet:
     angles = {key: parse_angle(merged[key]) for key in ("theta", "delta", "phi_pre", "phi_quad")}
     try:
-        r = float(merged["r"])
-        s = float(merged["s"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        params = ParamSet(r=r, s=s, **angles)
+        params = ParamSet(r=_number(merged["r"]), s=_number(merged["s"]), **angles)
         params.selection  # the library enforces the phi_pre rules
     except SpacsimError as exc:
         _guard(exc)
@@ -111,8 +126,10 @@ def _truncation(merged: dict[str, str]) -> tuple[float, int]:
         raise click.UsageError(str(exc))
     if not 0.0 < tol <= 1e-4:
         raise click.UsageError(f"tol must be in (0, 1e-4], got {tol}")
-    if max_dim > fock.DIM_CAP:
-        raise click.UsageError(f"max-dim must be <= {fock.DIM_CAP}, got {max_dim}")
+    if not 2 <= max_dim <= fock.DIM_CAP:
+        raise click.UsageError(
+            f"max-dim must be at least 2 and at most {fock.DIM_CAP}, got {max_dim}"
+        )
     return tol, max_dim
 
 
@@ -120,7 +137,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_bytes(text.encode("utf-8"))
+        try:
+            Path(out).write_bytes(text.encode("utf-8"))
+        except OSError as exc:
+            raise FileFailure(f"cannot write {out}: {exc}")
 
 
 def _guard(exc: SpacsimError):
@@ -189,7 +209,7 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise click.UsageError(f"grid {text!r} must be start:stop:step or a comma list")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = map(_number, parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise click.UsageError(f"bad grid bounds {text!r}")
         # a float first: a tiny step gives inf here, not an OverflowError in int()
@@ -201,7 +221,7 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
         count = int(round(steps)) + 1
         return tuple(start + (stop - start) * i / (count - 1) for i in range(count)) \
             if count > 1 else (start,)
-    parse = parse_angle if angle else float
+    parse = parse_angle if angle else _number
     return tuple(parse(part) for part in text.split(","))
 
 

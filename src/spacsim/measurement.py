@@ -17,9 +17,9 @@ numerically and returns the exact postselection probability from the
 same superposition.  The closed-form normalization is kept as a
 cross-check, and an independent oracle evolves the full qubit (x)
 pointer space with the sparse ``expm_multiply`` for validation, at any
-dimension; it takes the pointer as a state vector and shares no code
-with the closed-form branches.  The dense ``expm`` of the coupling is
-kept only for the two-branch unitary identity check.
+dimension; it evolves the pointer once for any number of selections and
+shares no code with the closed-form branches.  The dense (real) ``expm``
+of the coupling is kept only for the two-branch unitary identity check.
 """
 
 from __future__ import annotations
@@ -175,11 +175,12 @@ def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
 def joint_unitary_dense(dim: int, s: float) -> np.ndarray:
     """exp(-i g sigma_x (x) P) on the 2*dim joint space via scaling-and-squaring.
 
-    With sigma = 1 the strength g equals s.  This path shares no code
-    with the analytic displacement matrices.
+    With sigma = 1 the strength g equals s.  P is purely imaginary, so
+    the generator is the real s sigma_x (x) Im(P) and expm runs in real
+    arithmetic.  This path shares no code with the displacement matrices.
     """
     _, p = quadrature_ops(dim, sigma=1.0)
-    return expm(-1j * s * np.kron(SIGMA_X, p))
+    return expm(s * np.kron(SIGMA_X.real, p.imag)).astype(np.complex128)
 
 
 def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
@@ -191,26 +192,28 @@ def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
 
 
 def joint_evolution_project(
-    pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
-) -> tuple[StateVector, float]:
+    pointer: StateVector, selections: tuple[SelectionConfig, ...], m: MeasurementConfig
+) -> list[tuple[StateVector, float]]:
     """Independent oracle: sparse joint evolution, then projection onto |H>.
 
-    Applies exp(-i s sigma_x (x) P) to |psi_i> (x) |pointer> with
-    scipy.sparse.linalg.expm_multiply (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)), where P = (i/2)(a_dag - a) is two sqrt(n)
-    bands in CSR form.  It shares no code with the displacement matrices
-    or the closed-form branches, and costs O(dim) per Taylor step, so it
-    accepts every dimension adaptive_dim can return.
+    Applies exp(-i s sigma_x (x) P) to |H> (x) |pointer> and |V> (x)
+    |pointer> in one scipy.sparse.linalg.expm_multiply call (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), where P = (i/2)(a_dag -
+    a) is two sqrt(n) bands in CSR form.  The evolution is linear in the
+    qubit state, so each selection's projected pointer is the dim x 2 <H|
+    block applied to its |psi_i>.  It shares no code with the displacement
+    matrices or the closed-form branches, and costs O(dim) per Taylor
+    step, so it accepts every dimension adaptive_dim can return.
 
     Returns the normalized projected pointer and the postselection
-    probability.
+    probability for each selection, in order.
 
     Determinism: while the generator's 1-norm, about s sqrt(dim), stays
-    below about 63, expm_multiply works from the exact norm; above it
-    (dim above about 450 at s = 3) its norm estimate (onenormest) draws
-    from numpy's global RNG.  That state is saved and restored around the
-    call, so the oracle leaves np.random as it found it; the result was
-    bit-identical across six seeds at dims 779 and 1291.
+    below about 32 (63 / number of columns), expm_multiply works from the
+    exact norm; above it (dim above about 110 at s = 3) its norm estimate
+    (onenormest) draws from numpy's global RNG.  That state is saved and
+    restored around the call, so the oracle leaves np.random as it found
+    it; the result was bit-identical across six seeds at dims 779 and 1291.
     """
     # Imported here, not at module level: scipy.sparse adds about 0.03 s to
     # every `import spacsim`, and only this oracle needs it.
@@ -225,15 +228,16 @@ def joint_evolution_project(
     momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
     generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
     rng_state = np.random.get_state()
-    try:
-        joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
+    try:  # columns |H> (x) |pointer> and |V> (x) |pointer>
+        joint = expm_multiply(generator, np.kron(np.eye(2), pointer.amplitudes[:, None]))
     finally:
         np.random.set_state(rng_state)
-    block = joint[:dim]  # <H| component in the system (x) pointer ordering
-    probability = float(np.vdot(block, block).real)
-    if probability < 1e-24:
+    block = joint[:dim]  # <H| rows in the system (x) pointer ordering
+    projected = [block @ sel.preselected for sel in selections]
+    probabilities = [float(np.vdot(v, v).real) for v in projected]
+    if any(p < 1e-24 for p in probabilities):
         raise DegeneratePostselectionError(
             f"oracle postselection probability vanished at s={m.s}"
         )
-    projected = StateVector(block / math.sqrt(probability), normalized=True)
-    return projected, probability
+    return [(StateVector(v / math.sqrt(p), normalized=True), p)
+            for v, p in zip(projected, probabilities)]

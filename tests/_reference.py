@@ -3,15 +3,19 @@
 The package's main path works on O(dim) amplitude vectors; these build
 or apply dense operators and plain truncated states, so the tests can
 compare the fast paths against a direct computation.  The numeric
-doubling probe is the reference for the closed-form dimension choice.
+doubling probe is the reference for the closed-form dimension choice,
+the one-column oracle for the batched one, and the complex-arithmetic
+dense exponential for the real one.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from spacsim.errors import (
     ConvergenceError,
+    DegeneratePostselectionError,
     DimensionMismatchError,
     InvalidParameterError,
     TruncationError,
@@ -26,8 +30,10 @@ from spacsim.fock import (
     displaced_spacs,
     ladder_ops,
     norm,
+    quadrature_ops,
     require_finite,
 )
+from spacsim.measurement import SIGMA_X, MeasurementConfig, SelectionConfig
 
 
 def fock_state(n: int, dim: int) -> StateVector:
@@ -144,3 +150,47 @@ def probe_adaptive_dim(
         if abs(mass_hi - mass_lo) <= tol and abs(mean_hi - mean_lo) <= tol * max(1.0, mean_hi):
             return dim
         dim *= 2
+
+
+def complex_joint_unitary_dense(dim: int, s: float) -> np.ndarray:
+    """exp(-i g sigma_x (x) P) on the 2*dim joint space via scaling-and-squaring.
+
+    The complex-arithmetic form measurement.joint_unitary_dense had before
+    it took the exponential of the real generator; kept as its reference.
+    """
+    _, p = quadrature_ops(dim, sigma=1.0)
+    return expm(-1j * s * np.kron(SIGMA_X, p))
+
+
+def single_selection_oracle(
+    pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
+) -> tuple[StateVector, float]:
+    """Sparse joint evolution of |psi_i> (x) |pointer>, then projection onto |H>.
+
+    The one-column form measurement.joint_evolution_project had before it
+    evolved |H> and |V> together for all selections; kept as its
+    reference.  Saves and restores numpy's global RNG like the oracle.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    if not pointer.normalized:
+        raise InvalidParameterError("pointer state must be normalized")
+    dim = pointer.dim
+    root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
+    momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
+    generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
+    rng_state = np.random.get_state()
+    try:
+        joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
+    finally:
+        np.random.set_state(rng_state)
+    block = joint[:dim]  # <H| component in the system (x) pointer ordering
+    probability = float(np.vdot(block, block).real)
+    if probability < 1e-24:
+        raise DegeneratePostselectionError(
+            f"oracle postselection probability vanished at s={m.s}"
+        )
+    projected = StateVector(block / math.sqrt(probability), normalized=True)
+    return projected, probability

@@ -160,6 +160,41 @@ def test_state_rejects_excessive_max_dim(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("max_dim", ["1", "0", "-5"])
+def test_state_rejects_max_dim_below_two(runner, max_dim):
+    result = runner.invoke(main, ["state", "--r", "1", "--max-dim", max_dim])
+    assert result.exit_code == 2
+    assert "at least 2" in result.output
+
+
+def test_state_rejects_angle_divided_by_zero(runner):
+    result = runner.invoke(main, ["state", "--theta", "pi/0"])
+    assert result.exit_code == 2
+    assert "divides by zero" in result.output
+
+
+@pytest.mark.parametrize("grid,series_values", [
+    ("1,,2", "0.5"),
+    ("1,x", "0.5"),
+    ("1:2:x", "0.5"),
+    ("1,2", ""),
+    ("1,2", "0:1:"),
+])
+def test_sweep_rejects_unparseable_grid_entry(runner, grid, series_values):
+    result = runner.invoke(main, [
+        "sweep", "--var", "r", "--grid", grid, "--series", "s",
+        "--series-values", series_values, "--observable", "mandel_q",
+    ])
+    assert result.exit_code == 2
+    assert "cannot parse number" in result.output
+
+
+def assert_one_line_file_error(result):
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ")
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_merged_under_flags(runner, tmp_path):
@@ -182,6 +217,30 @@ def test_config_rejects_unknown_key(runner, tmp_path):
     config.write_text("wavelength=780\n")
     result = runner.invoke(main, ["state", "--config", str(config)])
     assert result.exit_code == 2
+
+
+def test_config_rejects_directory(runner, tmp_path):
+    assert_one_line_file_error(runner.invoke(main, ["state", "--config", str(tmp_path)]))
+
+
+def test_config_rejects_non_utf8_file(runner, tmp_path):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes(b"r=2\ntheta=\xe9\n")
+    assert_one_line_file_error(runner.invoke(main, ["state", "--config", str(config)]))
+
+
+@pytest.mark.parametrize("args", [
+    ["state", "--r", "1"],
+    ["sweep", "--var", "r", "--grid", "1,2", "--series", "s",
+     "--series-values", "0.5", "--observable", "mandel_q"],
+    ["figure", "fig1a"],
+])
+def test_unwritable_out_is_a_file_error(runner, tmp_path, args):
+    target = str(tmp_path / "missing" / "out.csv")
+    assert_one_line_file_error(runner.invoke(main, args + ["--out", target]))
+    config = tmp_path / "run.conf"
+    config.write_text(f"out={target}\n")
+    assert_one_line_file_error(runner.invoke(main, args + ["--config", str(config)]))
 
 
 # ---------------------------------------------------------------- figure

@@ -21,7 +21,12 @@ from spacsim.measurement import (
     weak_value,
 )
 
-from _reference import apply, normalize
+from _reference import (
+    apply,
+    complex_joint_unitary_dense,
+    normalize,
+    single_selection_oracle,
+)
 
 PI = math.pi
 
@@ -135,7 +140,7 @@ def test_true_probability_matches_oracle():
     pointer = spacs_state(alpha, 90)
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.1)
-    _, oracle_prob = joint_evolution_project(pointer, sel, mconf)
+    [(_, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
     assert postselected_pointer(alpha, 90, sel, mconf)[1] == pytest.approx(oracle_prob, abs=1e-12)
 
 
@@ -184,7 +189,7 @@ def test_final_state_matches_oracle_reference_point():
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.5)
     final, _ = postselected_pointer(alpha, dim, sel, mconf)
-    oracle_state, _ = joint_evolution_project(pointer, sel, mconf)
+    [(oracle_state, _)] = joint_evolution_project(pointer, (sel,), mconf)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
 
@@ -244,7 +249,7 @@ def test_beta_positive_and_finite(r, theta, phi_pre, delta, s):
 def test_oracle_identity_at_s_zero():
     pointer = spacs_state(CoherentParams(1.1, 0.5), 40)
     sel = SelectionConfig(PI / 3, PI / 5)
-    state, prob = joint_evolution_project(pointer, sel, MeasurementConfig(0.0))
+    [(state, prob)] = joint_evolution_project(pointer, (sel,), MeasurementConfig(0.0))
     assert prob == pytest.approx(naive_postselection_probability(sel), abs=1e-12)
     assert fidelity(state, pointer) > 1 - 1e-12
 
@@ -259,6 +264,59 @@ def test_two_branch_decomposition_identity(s):
     pointer_part = np.arange(2 * dim) % dim
     mask = (pointer_part[:, None] < half) & (pointer_part[None, :] < half)
     assert np.max(np.abs((dense - branches)[mask])) < 1e-8
+
+
+@pytest.mark.parametrize("dim", [10, 40])
+@pytest.mark.parametrize("s", [0.1, 1.0, 2.0])
+def test_real_dense_exponential_matches_complex_reference(dim, s):
+    real = joint_unitary_dense(dim, s)
+    assert real.dtype == np.complex128
+    assert np.max(np.abs(real - complex_joint_unitary_dense(dim, s))) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=28.0),
+    st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=0.9 * PI),
+            st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+@example(r=28.0, theta=0.0, s=3.0, angles=[(PI / 3, 0.0), (0.9 * PI, PI / 4)])  # dim 1291
+def test_batched_oracle_matches_single_selection_reference(r, theta, s, angles):
+    # one two-column evolution per pointer against one evolution per selection
+    alpha = CoherentParams(r, theta)
+    pointer = spacs_state(alpha, fock.adaptive_dim(alpha, s))
+    selections = tuple(SelectionConfig(phi_pre, delta) for phi_pre, delta in angles)
+    mconf = MeasurementConfig(s)
+    batched = joint_evolution_project(pointer, selections, mconf)
+    assert len(batched) == len(selections)
+    for sel, (state, prob) in zip(selections, batched):
+        ref_state, ref_prob = single_selection_oracle(pointer, sel, mconf)
+        assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) <= 1e-13
+        assert abs(prob - ref_prob) <= 1e-13
+
+
+def test_batched_oracle_rejects_degenerate_selection():
+    # the phi_pre cap keeps every valid <H|psi_i> above 1.5e-3, so a
+    # preselection of |V> stands in for a vanishing probability; the guard
+    # runs per selection, after the shared evolution
+    pointer = spacs_state(CoherentParams(1.0), 30)
+
+    class Orthogonal(SelectionConfig):
+        @property
+        def preselected(self):
+            return np.array([0.0, 1.0], dtype=np.complex128)
+
+    with pytest.raises(errors.DegeneratePostselectionError):
+        joint_evolution_project(
+            pointer, (SelectionConfig(PI / 3), Orthogonal(0.0)), MeasurementConfig(0.0)
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,7 +335,9 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
     sel = SelectionConfig(phi_pre, delta)
     mconf = MeasurementConfig(s)
     final, prob = postselected_pointer(alpha, dim, sel, mconf)
-    oracle_state, oracle_prob = joint_evolution_project(spacs_state(alpha, dim), sel, mconf)
+    [(oracle_state, oracle_prob)] = joint_evolution_project(
+        spacs_state(alpha, dim), (sel,), mconf
+    )
     assert 1.0 - fidelity(final, oracle_state) <= ORACLE_FIDELITY_TOL
     assert abs(prob - oracle_prob) <= ORACLE_PROB_TOL
 
@@ -288,7 +348,7 @@ def test_oracle_leaves_global_rng_untouched():
     alpha = CoherentParams(28.0)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, 3.0))
     before = np.random.get_state()
-    joint_evolution_project(pointer, SelectionConfig(PI / 3), MeasurementConfig(3.0))
+    joint_evolution_project(pointer, (SelectionConfig(PI / 3),), MeasurementConfig(3.0))
     after = np.random.get_state()
     assert pointer.dim == 1291
     assert before[0] == after[0] and before[2:] == after[2:]
@@ -308,6 +368,6 @@ def test_oracle_agreement_small_grid():
         sel = SelectionConfig(phi_pre, delta)
         mconf = MeasurementConfig(s)
         final, prob = postselected_pointer(alpha, dim, sel, mconf)
-        oracle_state, oracle_prob = joint_evolution_project(pointer, sel, mconf)
+        [(oracle_state, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
         assert fidelity(final, oracle_state) > 1 - 1e-9
         assert prob == pytest.approx(oracle_prob, abs=1e-9)
