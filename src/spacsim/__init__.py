@@ -25,11 +25,9 @@ from .experiments import (
     SweepResult,
     SweepRow,
     SweepSpec,
-    TrendReport,
     evaluate_point,
     figure_preset,
     run_sweep,
-    trend_checks,
 )
 from .fock import CoherentParams, StateVector, adaptive_dim, spacs_state
 from .measurement import (

@@ -27,11 +27,9 @@ _PI_PATTERN = re.compile(
     re.IGNORECASE,
 )
 
-PARAM_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad")
-
 _DEFAULTS = {
     "r": "0", "theta": "0", "delta": "0", "phi_pre": "0", "s": "0", "phi_quad": "0",
-    "tol": "1e-9", "max_dim": "4096", "format": "csv",
+    "tol": str(fock.TAIL_TOL), "max_dim": str(fock.DIM_CAP), "format": "csv",
 }
 
 

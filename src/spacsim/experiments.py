@@ -1,15 +1,13 @@
-"""Declarative parameter sweeps, figure presets, and trend checks.
+"""Declarative parameter sweeps and figure presets.
 
 A sweep varies one of {r, s, phi_pre, n} over a grid while a second
 variable indexes the curve family, everything else held fixed.  Points
 are evaluated serially in series-major order; a point that fails
-becomes a status row instead of aborting the sweep.  The trend checks
-read their numbers from the figure-preset sweeps.
+becomes a status row instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,7 +58,7 @@ class SweepSpec:
     series_values: tuple[float, ...]
     fixed: ParamSet
     observable: str
-    tol: float = 1e-9
+    tol: float = fock.TAIL_TOL
     max_dim: int = fock.DIM_CAP
     metadata: tuple[tuple[str, str], ...] = ()
 
@@ -118,7 +116,7 @@ class PointResult:
 
 
 def evaluate_point(
-    params: ParamSet, tol: float = 1e-9, max_dim: int = fock.DIM_CAP
+    params: ParamSet, tol: float = fock.TAIL_TOL, max_dim: int = fock.DIM_CAP
 ) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
     sel = params.selection
@@ -176,7 +174,9 @@ def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
     def photon_row(x: float) -> SweepRow:
         fock.require_finite(n=x)
         n = int(round(x))
-        value = float(probs[n]) if 0 <= n < point.dim else 0.0
+        if n < 0:
+            raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
+        value = float(probs[n]) if n < point.dim else 0.0
         return SweepRow(label, float(n), value, point.tail_mass, point.true_prob)
     return photon_row
 
@@ -288,107 +288,3 @@ def figure_preset(fig_id: str) -> SweepSpec:
             f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURE_IDS)}"
         ) from None
     return replace(preset, metadata=(("preset", fig_id), ("note", _DEFAULT_NOTE)))
-
-
-@dataclass(frozen=True)
-class TrendAssertion:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class TrendReport:
-    assertions: tuple[TrendAssertion, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(a.passed for a in self.assertions)
-
-
-def _fmt(values) -> str:
-    return "[" + ", ".join(f"{v:.6g}" for v in values) + "]"
-
-
-def _strictly(values, increasing: bool) -> bool:
-    pairs = zip(values, values[1:])
-    return all(b > a for a, b in pairs) if increasing else all(b < a for a, b in pairs)
-
-
-def trend_checks(tol: float = 1e-9, max_dim: int = fock.DIM_CAP) -> TrendReport:
-    """Five qualitative assertions about the measurement's effect.
-
-    1. broadening of P(n) with coupling strength (fig1a parameters);
-    2. suppression of the modal P(n) with weak value at s = 0.1 (fig1b);
-    3. Mandel Q rising toward 0 with coupling strength at r = 2 (fig2a);
-    4. Mandel Q dropping with weak value at r = 2, s = 0.1 (fig2b);
-    5. squeezing appearing at theta != phi_quad for some s > 0 at r = 4
-       even though the initial state is unsqueezed there (fig4a).
-
-    Assertions 3-5 read their numbers from run_sweep on the preset spec
-    (fig2a and fig2b narrowed to r = 2); 1 and 2 need full distributions
-    and evaluate single points.  Each assertion reports its computed
-    numbers verbatim whether it passes or fails.
-    """
-    report = []
-
-    fig1a = figure_preset("fig1a")
-    variances = []
-    for s in fig1a.series_values:
-        point = evaluate_point(_with(fig1a.fixed, "s", s), tol=tol, max_dim=max_dim)
-        variances.append(observables.distribution_moments(
-            observables.photon_distribution(point.state))[1])
-    report.append(TrendAssertion(
-        "distribution-broadens-with-s",
-        _strictly(variances, increasing=True),
-        f"P(n) variance over s={_fmt(fig1a.series_values)}: {_fmt(variances)}",
-    ))
-
-    fig1b = figure_preset("fig1b")
-    initial = fock.spacs_state(fig1b.fixed.alpha, fock.adaptive_dim(
-        fig1b.fixed.alpha, fig1b.fixed.s, tol=tol, cap=max_dim))
-    modal_n = int(np.argmax(observables.photon_distribution(initial)))
-    peaks, variances1b = [], []
-    for phi_pre in fig1b.series_values:
-        point = evaluate_point(_with(fig1b.fixed, "phi_pre", phi_pre), tol=tol, max_dim=max_dim)
-        probs = observables.photon_distribution(point.state)
-        peaks.append(float(probs[modal_n]))
-        variances1b.append(observables.distribution_moments(probs)[1])
-    report.append(TrendAssertion(
-        "peak-probability-drops-with-weak-value",
-        _strictly(peaks, increasing=False),
-        f"P(n={modal_n}) over phi_pre={_fmt(fig1b.series_values)}: {_fmt(peaks)}; "
-        f"variances {_fmt(variances1b)} (variance grows at these parameters)",
-    ))
-
-    fig2a = replace(figure_preset("fig2a"), grid=(2.0,), tol=tol, max_dim=max_dim)
-    qs_vs_s = [row.value for row in run_sweep(fig2a).rows]
-    report.append(TrendAssertion(
-        "sub-poissonianity-attenuates-with-s",
-        _strictly(qs_vs_s, increasing=True),
-        f"Q at r=2 over s={_fmt(fig2a.series_values)}: {_fmt(qs_vs_s)}",
-    ))
-
-    fig2b = replace(figure_preset("fig2b"), grid=(2.0,), tol=tol, max_dim=max_dim)
-    qs_vs_w = [row.value for row in run_sweep(fig2b).rows]
-    report.append(TrendAssertion(
-        "sub-poissonianity-grows-with-weak-value",
-        _strictly(qs_vs_w, increasing=False),
-        f"Q at r=2, s=0.1 over phi_pre={_fmt(fig2b.series_values)}: {_fmt(qs_vs_w)}",
-    ))
-
-    fig4a = replace(figure_preset("fig4a"), tol=tol, max_dim=max_dim)
-    s_initial = observables.analytic_s_initial(fig4a.fixed.alpha, fig4a.fixed.phi_quad)
-    best = (float("inf"), 0.0, 0.0)  # (S, phi_pre, s)
-    points = itertools.product(fig4a.series_values, fig4a.grid)  # series-major, as the rows
-    for (phi_pre, s), row in zip(points, run_sweep(fig4a).rows):
-        if s != 0.0 and row.value < best[0]:
-            best = (row.value, phi_pre, s)
-    report.append(TrendAssertion(
-        "squeezing-without-phase-matching",
-        best[0] < 0.0 < s_initial,
-        f"initial S={s_initial:.6g} > 0; minimum measured S={best[0]:.6g} "
-        f"at phi_pre={best[1]:.6g}, s={best[2]:.6g}",
-    ))
-
-    return TrendReport(tuple(report))

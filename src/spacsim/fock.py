@@ -1,15 +1,15 @@
 """Truncated Fock-space core: states, closed-form displaced states,
-ladder/quadrature operators, displacement matrices, and the choice of
-Fock dimension from a closed-form Poisson tail bound.
+displacement matrices, and the choice of Fock dimension from a
+closed-form Poisson tail bound.
 
 Conventions: basis states are |0>..|dim-1> and amplitudes are complex128
 ndarrays.  The main path works on O(dim) amplitude vectors only:
 displaced photon-added coherent states come in closed form from
 ``displaced_spacs``, and ``adaptive_dim`` builds no state at all.  The
-dense complex (dim, dim) operator matrices (ladder, quadrature,
-displacement) serve the criterion-3 identity check and the tests as
-references.  All values are immutable after construction and every
-function is pure, so everything here is safe to call concurrently.
+dense complex (dim, dim) displacement matrices serve the criterion-3
+identity check and the tests as references.  All values are immutable
+after construction and every function is pure, so everything here is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ TWO_PI = 2.0 * math.pi
 #: default cap for adaptive truncation and the largest max_dim the CLI accepts
 DIM_CAP = 4096
 
-#: default pre-normalization tail mass tolerated by state constructors
+#: default truncation tolerance: the pre-normalization tail mass state
+#: constructors accept and the doubling change adaptive_dim certifies
 TAIL_TOL = 1e-9
 
 
@@ -106,23 +107,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-
-def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation matrices (a, a_dagger) with a[n-1, n] = sqrt(n)."""
-    dim = _check_dim(dim)
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
-    return a, a.conj().T
-
-
-def quadrature_ops(dim: int, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum quadratures X = sigma*(a_dag + a), P = i/(2 sigma)*(a_dag - a)."""
-    if sigma <= 0:
-        raise InvalidParameterError(f"beam width sigma must be > 0, got {sigma}")
-    a, adag = ladder_ops(dim)
-    x = sigma * (adag + a)
-    p = (0.5j / sigma) * (adag - a)
-    return x, p
 
 
 def spacs_gamma_sq(mod_sq: float) -> float:
@@ -275,7 +259,7 @@ def _doubling_bound(reach: float, s: float, dim: int) -> float:
 
 @lru_cache(maxsize=4096)
 def adaptive_dim(
-    alpha: CoherentParams, s: float, tol: float = 1e-9, cap: int = DIM_CAP
+    alpha: CoherentParams, s: float, tol: float = TAIL_TOL, cap: int = DIM_CAP
 ) -> int:
     """Smallest probed dimension at which doubling moves the retained mass
     and mean photon number of D(s) a_dag|alpha> by at most tol.

@@ -37,13 +37,7 @@ from .errors import (
     InvalidParameterError,
     UndefinedWeakValueError,
 )
-from .fock import (
-    CoherentParams,
-    StateVector,
-    displacement_matrix,
-    quadrature_ops,
-    require_finite,
-)
+from .fock import CoherentParams, StateVector, displacement_matrix, require_finite
 
 #: keeps the naive postselection probability representable and the
 #: branch cancellations benign
@@ -90,7 +84,7 @@ class MeasurementConfig:
     """Coupling strength s = g/sigma plus the truncation tolerance."""
 
     s: float
-    tol: float = 1e-9
+    tol: float = fock.TAIL_TOL
 
     def __post_init__(self):
         require_finite(s=self.s)
@@ -175,12 +169,14 @@ def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
 def joint_unitary_dense(dim: int, s: float) -> np.ndarray:
     """exp(-i g sigma_x (x) P) on the 2*dim joint space via scaling-and-squaring.
 
-    With sigma = 1 the strength g equals s.  P is purely imaginary, so
-    the generator is the real s sigma_x (x) Im(P) and expm runs in real
+    With sigma = 1 the strength g equals s.  P = (i/2)(a_dag - a) is
+    purely imaginary, so the generator is the real s sigma_x (x) Im(P),
+    built from its two +-sqrt(n)/2 bands, and expm runs in real
     arithmetic.  This path shares no code with the displacement matrices.
     """
-    _, p = quadrature_ops(dim, sigma=1.0)
-    return expm(s * np.kron(SIGMA_X.real, p.imag)).astype(np.complex128)
+    half_root_n = 0.5 * np.sqrt(np.arange(1, dim, dtype=np.float64))
+    im_p = np.diag(half_root_n, k=-1) - np.diag(half_root_n, k=1)
+    return expm(s * np.kron(SIGMA_X.real, im_p)).astype(np.complex128)
 
 
 def joint_unitary_branches(dim: int, s: float) -> np.ndarray:

@@ -85,12 +85,12 @@ def analytic_s_initial(alpha: CoherentParams, phi: float) -> float:
     return g2 * g2 * (1.0 - x * math.cos(2.0 * (phi - alpha.theta)))
 
 
-def edge_tail_mass(state: StateVector, fraction: float = 0.1) -> float:
-    """Probability mass in the top ``fraction`` of the retained basis.
+def edge_tail_mass(state: StateVector) -> float:
+    """Probability mass in the top tenth of the retained basis.
 
     A truncation diagnostic: well-converged states hold essentially no
     mass near the basis edge.
     """
     probs = np.abs(state.amplitudes) ** 2
-    start = int(math.ceil((1.0 - fraction) * state.dim))
+    start = int(math.ceil(0.9 * state.dim))
     return float(np.sum(probs[start:]))

@@ -55,14 +55,4 @@ def render(fmt: str, columns: tuple[str, ...], rows: list[dict]) -> str:
 
 def sweep_rows(result) -> list[dict]:
     """SweepResult rows as serializable dicts in their deterministic order."""
-    return [
-        {
-            "series": row.series,
-            "x": row.x,
-            "value": row.value,
-            "tail_mass": row.tail_mass,
-            "true_postselection_prob": row.true_postselection_prob,
-            "status": row.status,
-        }
-        for row in result.rows
-    ]
+    return [{name: getattr(row, name) for name in SWEEP_COLUMNS} for row in result.rows]

@@ -28,12 +28,27 @@ from spacsim.fock import (
     _check_dim,
     _coherent_amplitudes,
     displaced_spacs,
-    ladder_ops,
     norm,
-    quadrature_ops,
     require_finite,
 )
 from spacsim.measurement import SIGMA_X, MeasurementConfig, SelectionConfig
+
+
+def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilation and creation matrices (a, a_dagger) with a[n-1, n] = sqrt(n)."""
+    dim = _check_dim(dim)
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1).astype(np.complex128)
+    return a, a.conj().T
+
+
+def quadrature_ops(dim: int, sigma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum quadratures X = sigma*(a_dag + a), P = i/(2 sigma)*(a_dag - a)."""
+    if sigma <= 0:
+        raise InvalidParameterError(f"beam width sigma must be > 0, got {sigma}")
+    a, adag = ladder_ops(dim)
+    x = sigma * (adag + a)
+    p = (0.5j / sigma) * (adag - a)
+    return x, p
 
 
 def fock_state(n: int, dim: int) -> StateVector:

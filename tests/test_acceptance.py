@@ -11,7 +11,6 @@ from click.testing import CliRunner
 
 from spacsim import checks, fock
 from spacsim.cli import main as cli_main
-from spacsim.experiments import trend_checks
 from spacsim.fock import CoherentParams, adaptive_dim, spacs_state
 from spacsim.measurement import joint_unitary_branches, joint_unitary_dense
 from spacsim.observables import (
@@ -138,14 +137,14 @@ def test_criterion_5_baseline_sanity():
 
 
 def test_criterion_6_trend_assertions():
-    letter = trend_checks()
-    for assertion in letter.assertions:
+    letter = checks.trend_assertions()
+    for assertion in letter:
         status = "pass" if assertion.passed else "FAIL"
         print(f"  trend {assertion.name}: {status} -- {assertion.detail}")
     report(
         "6 trend-assertions",
-        letter.all_passed,
-        f"{sum(a.passed for a in letter.assertions)}/5 hold; details above",
+        all(a.passed for a in letter),
+        f"{sum(a.passed for a in letter)}/5 hold; details above",
     )
 
 

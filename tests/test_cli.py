@@ -121,6 +121,16 @@ def test_sweep_caps_phi_pre_series_values(runner):
     assert [row["status"] for row in rows] == ["InvalidParameterError"] * 2
 
 
+def test_sweep_negative_photon_numbers_are_error_rows(runner):
+    result = invoke(runner, [
+        "sweep", "--var", "n", "--grid=-3:-1:1", "--series", "s",
+        "--series-values", "0", "--observable", "p_of_n", "--r", "1",
+    ])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [row["status"] for row in rows] == ["InvalidParameterError"] * 3
+
+
 @pytest.mark.parametrize("grid", ["nan:2:0.5", "0:inf:1", "0:2:nan"])
 def test_sweep_rejects_non_finite_grid_bounds(runner, grid):
     result = runner.invoke(main, [

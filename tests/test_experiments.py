@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spacsim import errors, fock
+from spacsim import checks, errors, fock
 from spacsim.experiments import (
     FIGURE_IDS,
     ParamSet,
@@ -14,7 +14,6 @@ from spacsim.experiments import (
     evaluate_point,
     figure_preset,
     run_sweep,
-    trend_checks,
 )
 from spacsim.fock import CoherentParams
 from spacsim.measurement import MeasurementConfig, SelectionConfig
@@ -168,6 +167,17 @@ def test_non_finite_series_and_photon_number_become_status_rows():
     assert (rows[3], rows[5]) == clean
 
 
+def test_negative_photon_number_becomes_status_row():
+    spec = SweepSpec(
+        swept="n", grid=(-3.0, -1.0, 0.0, 500.0), series="s", series_values=(0.0,),
+        fixed=ParamSet(r=1.0), observable="p_of_n",
+    )
+    rows = run_sweep(spec).rows
+    assert [row.status for row in rows] == ["InvalidParameterError"] * 2 + ["ok", "ok"]
+    assert math.isnan(rows[0].value)
+    assert rows[3].value == 0.0  # n beyond the retained basis reads 0
+
+
 def test_phi_pre_series_above_cap_gives_error_rows():
     spec = SweepSpec(
         swept="r", grid=(1.0, 2.0), series="phi_pre", series_values=(0.9999 * PI, PI / 3),
@@ -269,8 +279,8 @@ def test_all_presets_run_clean_on_thinned_grids():
 
 
 def test_trend_report_structure():
-    report = trend_checks()
-    names = [a.name for a in report.assertions]
+    report = checks.trend_assertions()
+    names = [a.name for a in report]
     assert names == [
         "distribution-broadens-with-s",
         "peak-probability-drops-with-weak-value",
@@ -278,7 +288,7 @@ def test_trend_report_structure():
         "sub-poissonianity-grows-with-weak-value",
         "squeezing-without-phase-matching",
     ]
-    for assertion in report.assertions:
+    for assertion in report:
         assert assertion.detail  # numbers are always reported
 
 

@@ -11,8 +11,6 @@ from spacsim.fock import (
     adaptive_dim,
     displacement_matrix,
     inner_product,
-    ladder_ops,
-    quadrature_ops,
     spacs_state,
 )
 
@@ -22,9 +20,11 @@ from _reference import (
     coherent_state,
     expectation,
     fock_state,
+    ladder_ops,
     normalize,
     phase_quadrature,
     probe_adaptive_dim,
+    quadrature_ops,
     unitarity_defect,
 )
 

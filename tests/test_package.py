@@ -1,9 +1,14 @@
 """Source-level guards on the package's public surface."""
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spacsim"
+from spacsim import checks, fock
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spacsim"
 
 
 def _is_cli_command(node: ast.FunctionDef) -> bool:
@@ -38,3 +43,23 @@ def test_every_public_function_has_a_caller_in_src():
     assert public
     unused = [f"{module}:{name}" for module, name in public if name not in referenced]
     assert unused == []
+
+
+def test_benchmark_per_layer_names_resolve():
+    # the traced benchmark reports a declared name as absent once its
+    # function is renamed or removed, and a new check_* as undeclared
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    functions = {
+        tuple(metric["name"].split(".")[:2]) for metric in declared
+        if not metric["name"].startswith(("trace.", "fock.dim."))
+    }
+    for module, name in sorted(functions):
+        fn = getattr(importlib.import_module(f"spacsim.{module}"), name, None)
+        assert callable(fn), f"{module}.{name}"
+    assert hasattr(fock.adaptive_dim, "cache_info")
+    defined = {
+        name for name, value in vars(checks).items()
+        if name.startswith("check_") and callable(value)
+        and getattr(value, "__module__", None) == checks.__name__
+    }
+    assert defined == {name for module, name in functions if module == "checks"}

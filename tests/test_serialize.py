@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 
+from spacsim.experiments import SweepRow
 from spacsim.serialize import SWEEP_COLUMNS, render, rows_to_csv, rows_to_json
 
 ROWS = [
@@ -41,3 +43,7 @@ def test_csv_uses_lf_and_trailing_newline():
 def test_render_dispatch():
     assert render("csv", SWEEP_COLUMNS, ROWS) == rows_to_csv(SWEEP_COLUMNS, ROWS)
     assert render("json", SWEEP_COLUMNS, ROWS) == rows_to_json(SWEEP_COLUMNS, ROWS)
+
+
+def test_sweep_columns_are_the_sweep_row_fields():
+    assert SWEEP_COLUMNS == tuple(field.name for field in dataclasses.fields(SweepRow))
