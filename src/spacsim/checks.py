@@ -4,8 +4,8 @@ Three families: closed-form pairings (numeric observables of the
 photon-added coherent state against their analytic expressions), the
 oracle grid against the sparse ``expm_multiply`` joint evolution
 (conditioned state, postselection probability, and normalization
-constant; one evolution per pointer serves all six selections, 27 for
-the 162 points), and the five qualitative trend assertions, which read
+constant; one evolution and one branch pair per pointer serve its six
+selections), and the five qualitative trend assertions, which read
 their numbers from the figure presets.  Every outcome, trend assertions
 included, is a ``CheckOutcome`` carrying its worst-case numbers.
 """
@@ -123,9 +123,9 @@ def check_oracle_grid() -> CheckOutcome:
                 oracle = measurement.joint_evolution_project(
                     fock.spacs_state(alpha, dim), selections, mconf
                 )
-                for sel, (oracle_state, oracle_prob) in zip(selections, oracle):
+                pairs = zip(oracle, measurement.postselected_pointer(alpha, dim, selections, mconf))
+                for sel, ((oracle_state, oracle_prob), (final, prob)) in zip(selections, pairs):
                     w = measurement.weak_value(sel)
-                    final, prob = measurement.postselected_pointer(alpha, dim, sel, mconf)
                     infid = 1.0 - abs(fock.inner_product(oracle_state, final))
                     prob_diff = abs(prob - oracle_prob)
                     # prob = naive * ||superposition||^2 / 4 gives 1/||superposition||
@@ -171,8 +171,8 @@ def trend_assertions() -> list[CheckOutcome]:
 
     Assertions 3-5 read their numbers from run_sweep on the preset spec
     (fig2a and fig2b narrowed to r = 2); 1 and 2 need full distributions
-    and evaluate single points.  Each assertion reports its computed
-    numbers verbatim whether it passes or fails.
+    and evaluate points directly, 2 as one group.  Each assertion reports
+    its computed numbers verbatim whether it passes or fails.
     """
     outcomes = []
 
@@ -189,13 +189,14 @@ def trend_assertions() -> list[CheckOutcome]:
     ))
 
     fig1b = experiments.figure_preset("fig1b")
-    # keywords as evaluate_point passes them, so its calls below hit this lru_cache entry
+    # keywords as evaluate_group passes them, so its call below hits this lru_cache entry
     initial = fock.spacs_state(fig1b.fixed.alpha, fock.adaptive_dim(
         fig1b.fixed.alpha, fig1b.fixed.s, tol=fock.TAIL_TOL, cap=fock.DIM_CAP))
     modal_n = int(np.argmax(observables.photon_distribution(initial)))
     peaks, variances1b = [], []
-    for phi_pre in fig1b.series_values:
-        point = experiments.evaluate_point(replace(fig1b.fixed, phi_pre=phi_pre))
+    for point in experiments.evaluate_group(
+        tuple(replace(fig1b.fixed, phi_pre=phi_pre) for phi_pre in fig1b.series_values)
+    ):
         probs = observables.photon_distribution(point.state)
         peaks.append(float(probs[modal_n]))
         variances1b.append(observables.distribution_moments(probs)[1])

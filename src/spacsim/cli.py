@@ -103,6 +103,8 @@ def _merge(flag_values: dict[str, str | None], config: dict[str, str]) -> dict[s
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
+    if merged["format"] not in ("csv", "json"):
+        raise click.UsageError(f"format must be csv or json, got {merged['format']!r}")
     return merged
 
 

@@ -2,8 +2,9 @@
 
 A sweep varies one of {r, s, phi_pre, n} over a grid while a second
 variable indexes the curve family, everything else held fixed.  Points
-are evaluated serially in series-major order; a point that fails
-becomes a status row instead of aborting the sweep.
+that share a pointer are evaluated together, rows come out in
+series-major order, and a point that fails becomes a status row
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fock, measurement, observables
-from .errors import InvalidParameterError, SpacsimError
+from .errors import DegeneratePostselectionError, InvalidParameterError, SpacsimError
 from .fock import CoherentParams, StateVector
 from .measurement import MeasurementConfig, SelectionConfig
 
 SWEPT_VARIABLES = ("r", "s", "phi_pre", "n")
 SERIES_VARIABLES = ("r", "s", "phi_pre")
 OBSERVABLES = ("p_of_n", "mandel_q", "squeezing", "postselection_prob")
+GROUP_LIMIT = 256  #: most points one pair of branches serves in a sweep; bounds memory
 
 PI = math.pi
 
@@ -115,41 +117,48 @@ class PointResult:
     tail_mass: float
 
 
+def evaluate_group(
+    group: tuple[ParamSet, ...], tol: float = fock.TAIL_TOL, max_dim: int = fock.DIM_CAP
+) -> list[PointResult | DegeneratePostselectionError]:
+    """Evaluate points that share (r, theta, s) from one pair of displaced branches.
+
+    Selection errors raise first, then the shared pointer's; a selection
+    whose branches cancel gets its DegeneratePostselectionError in its slot.
+    """
+    selections = tuple(params.selection for params in group)
+    mconf = MeasurementConfig(group[0].s, tol=tol)
+    alpha = group[0].alpha
+    dim = fock.adaptive_dim(alpha, group[0].s, tol=tol, cap=max_dim)
+    outcomes = measurement.postselected_pointer(alpha, dim, selections, mconf)
+    return [out if isinstance(out, SpacsimError) else PointResult(
+        params, dim, measurement.weak_value(sel), measurement.naive_postselection_probability(sel),
+        out[1], out[0], observables.edge_tail_mass(out[0]),
+    ) for params, sel, out in zip(group, selections, outcomes)]
+
+
 def evaluate_point(
     params: ParamSet, tol: float = fock.TAIL_TOL, max_dim: int = fock.DIM_CAP
 ) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
-    sel = params.selection
-    mconf = MeasurementConfig(params.s, tol=tol)
-    alpha = params.alpha
-    dim = fock.adaptive_dim(alpha, params.s, tol=tol, cap=max_dim)
-    w = measurement.weak_value(sel)
-    final, true_prob = measurement.postselected_pointer(alpha, dim, sel, mconf)
-    return PointResult(
-        params=params,
-        dim=dim,
-        weak_value=w,
-        naive_prob=measurement.naive_postselection_probability(sel),
-        true_prob=true_prob,
-        state=final,
-        tail_mass=observables.edge_tail_mass(final),
-    )
+    [point] = evaluate_group((params,), tol=tol, max_dim=max_dim)
+    if isinstance(point, SpacsimError):
+        raise point
+    return point
 
 
-def _series_label(series: str, value: float) -> str:
-    return f"{series}={value:.17g}"
-
-
-def _with(params: ParamSet, name: str, value: float) -> ParamSet:
-    return replace(params, **{name: value})
-
-
-def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
+def _value(spec: SweepSpec, point: PointResult, probs, x: float) -> tuple[float, float]:
+    """(x as reported, observable) at one grid value; may raise SpacsimError."""
     if spec.observable == "mandel_q":
-        return observables.mandel_q(point.state)
+        return x, observables.mandel_q(point.state)
     if spec.observable == "squeezing":
-        return observables.squeezing(point.state, point.params.phi_quad)
-    return point.true_prob  # postselection_prob
+        return x, observables.squeezing(point.state, point.params.phi_quad)
+    if spec.observable == "postselection_prob":
+        return x, point.true_prob
+    fock.require_finite(n=x)
+    n = int(round(x))
+    if n < 0:
+        raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
+    return float(n), float(probs[n]) if n < point.dim else 0.0
 
 
 def _error_row(label: str, x: float, exc: SpacsimError) -> SweepRow:
@@ -157,53 +166,53 @@ def _error_row(label: str, x: float, exc: SpacsimError) -> SweepRow:
     return SweepRow(label, x, nan, nan, nan, status=type(exc).__name__)
 
 
-def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
-    """x -> SweepRow for one series; both steps may raise SpacsimError.
-
-    A photon-number series evaluates its single point up front and reads
-    every grid value from that distribution.
-    """
-    if spec.swept != "n":
-        def scalar_row(x: float) -> SweepRow:
-            point = evaluate_point(_with(base, spec.swept, x), tol=spec.tol, max_dim=spec.max_dim)
-            return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
-        return scalar_row
-    point = evaluate_point(base, tol=spec.tol, max_dim=spec.max_dim)
-    probs = observables.photon_distribution(point.state)
-
-    def photon_row(x: float) -> SweepRow:
-        fock.require_finite(n=x)
-        n = int(round(x))
-        if n < 0:
-            raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
-        value = float(probs[n]) if n < point.dim else 0.0
-        return SweepRow(label, float(n), value, point.tail_mass, point.true_prob)
-    return photon_row
-
-
-def _evaluate_series(spec: SweepSpec, series_value: float) -> list[SweepRow]:
-    label = _series_label(spec.series, series_value)
-    try:
-        row_at = _row_maker(spec, _with(spec.fixed, spec.series, series_value), label)
-    except SpacsimError as exc:
-        return [_error_row(label, x, exc) for x in spec.grid]
+def _point_rows(spec: SweepSpec, point, value: float, xs: tuple[float, ...]) -> list[SweepRow]:
+    """The rows one evaluated point (or its error) serves in series ``value``."""
+    label = f"{spec.series}={value:.17g}"
+    if isinstance(point, SpacsimError):
+        return [_error_row(label, x, point) for x in xs]
+    probs = observables.photon_distribution(point.state) if spec.swept == "n" else None
     rows = []
-    for x in spec.grid:
+    for x in xs:
         try:
-            rows.append(row_at(x))
+            rows.append(SweepRow(label, *_value(spec, point, probs, x), point.tail_mass,
+                                 point.true_prob))
         except SpacsimError as exc:
             rows.append(_error_row(label, x, exc))
     return rows
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
-    """Evaluate a sweep serially; per-point failures become status rows, not aborts.
+    """Evaluate a sweep once per shared pointer; failures become status rows, not aborts.
 
-    ``threads`` (and the SPACS_THREADS variable) are accepted and have no
-    effect; rows come out in series-major order.
+    Points that share (r, theta, s) go to evaluate_group together, at most
+    GROUP_LIMIT at a time (a lone point to evaluate_point), and a
+    photon-number series is one point for its whole grid.  Rows keep
+    series-major order; ``threads`` (and SPACS_THREADS) are accepted, with no effect.
     """
-    rows = tuple(row for value in spec.series_values for row in _evaluate_series(spec, value))
-    return SweepResult(spec=spec, rows=rows)
+    cells = [(value, xs) for value in spec.series_values
+             for xs in ([spec.grid] if spec.swept == "n" else [(x,) for x in spec.grid])]
+    rows: list[list[SweepRow] | None] = [None] * len(cells)
+    groups: dict[tuple[float, float, float], list[tuple[int, ParamSet]]] = {}
+    for i, (value, xs) in enumerate(cells):
+        swept = {} if spec.swept == "n" else {spec.swept: xs[0]}
+        try:
+            params = replace(spec.fixed, **{spec.series: value}, **swept)
+            params.selection  # selection errors stay with their own rows
+        except SpacsimError as exc:
+            rows[i] = _point_rows(spec, exc, value, xs)
+        else:
+            groups.setdefault((params.r, params.theta, params.s), []).append((i, params))
+    for members in map(groups.pop, list(groups)):  # releases each group once evaluated
+        for chunk in (members[k:k + GROUP_LIMIT] for k in range(0, len(members), GROUP_LIMIT)):
+            try:
+                points = [evaluate_point(chunk[0][1], spec.tol, spec.max_dim)] if len(chunk) == 1 \
+                    else evaluate_group(tuple(p for _, p in chunk), spec.tol, spec.max_dim)
+            except SpacsimError as exc:
+                points = [exc] * len(chunk)
+            for (i, _), point in zip(chunk, points):
+                rows[i] = _point_rows(spec, point, *cells[i])
+    return SweepResult(spec=spec, rows=tuple(row for cell in rows for row in cell))
 
 
 FIGURE_IDS = (

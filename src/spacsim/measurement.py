@@ -11,9 +11,10 @@ pointer state is
 
 with w the weak value of sigma_x.  ``postselected_pointer`` is the one
 builder of that state: it takes the pointer's parameters (alpha and the
-Fock dimension), builds both displaced branches in closed form in
-O(dim) (``fock.displaced_spacs``, no displacement matrix), normalizes
-numerically and returns the exact postselection probability from the
+Fock dimension) and selections, builds both displaced branches once in
+closed form in O(dim) (``fock.displaced_spacs``, no displacement matrix)
+for all selections, since only w depends on them, normalizes each
+numerically and returns its exact postselection probability from the
 same superposition.  The closed-form normalization is kept as a
 cross-check, and an independent oracle evolves the full qubit (x)
 pointer space with the sparse ``expm_multiply`` for validation, at any
@@ -105,43 +106,44 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
 
 
 def branch_superposition(
-    alpha: CoherentParams, dim: int, w: complex, s: float,
+    alpha: CoherentParams, dim: int, ws: tuple[complex, ...], s: float,
     tail_tol: float | None = fock.TAIL_TOL,
-) -> StateVector:
-    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, unnormalized, for the pointer
-    |Psi> = spacs_state(alpha, dim, tail_tol).
+) -> list[StateVector]:
+    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, unnormalized, for each w in ws
+    and the pointer |Psi> = spacs_state(alpha, dim, tail_tol).
 
-    Both branches come in closed form from fock.displaced_spacs, which
-    raises TruncationError as spacs_state does.
+    Both branches come in closed form from one fock.displaced_spacs call,
+    which raises TruncationError as spacs_state does.
     """
     plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim, tail_tol)
-    return StateVector((1.0 + w) * plus + (1.0 - w) * minus, normalized=False)
+    return [StateVector((1.0 + w) * plus + (1.0 - w) * minus, normalized=False) for w in ws]
 
 
 def postselected_pointer(
-    alpha: CoherentParams, dim: int, sel: SelectionConfig, m: MeasurementConfig
-) -> tuple[StateVector, float]:
-    """Conditioned pointer state and exact postselection probability.
+    alpha: CoherentParams, dim: int, selections: tuple[SelectionConfig, ...], m: MeasurementConfig
+) -> list[tuple[StateVector, float] | DegeneratePostselectionError]:
+    """Conditioned pointer state and exact postselection probability per selection.
 
     The pointer is the photon-added coherent state a_dag|alpha> on a
     dim-dimensional basis, held to the tail tolerance m.tol exactly as
     spacs_state(alpha, dim, tail_tol=m.tol) holds it (TruncationError
-    otherwise); at s = 0 the returned state is that pointer.  The
+    otherwise); at s = 0 each returned state is that pointer.  The
     probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
-    cos^2(phi_pre/2) at s = 0.  Raises DegeneratePostselectionError when
-    the two displaced branches cancel.
+    cos^2(phi_pre/2) at s = 0.  All selections share one pair of branches;
+    one whose branches cancel gets its DegeneratePostselectionError instead.
     """
-    w = weak_value(sel)
-    superposed = branch_superposition(alpha, dim, w, m.s, tail_tol=m.tol)
-    superposed_norm = fock.norm(superposed)
-    scale = (abs(1.0 + w) + abs(1.0 - w)) or 1.0
-    if superposed_norm < 1e-12 * scale:
-        raise DegeneratePostselectionError(
-            f"displaced branches cancel for weak value {w!r} at s={m.s}"
-        )
-    final = StateVector(superposed.amplitudes / superposed_norm, normalized=True)
-    probability = naive_postselection_probability(sel) * 0.25 * superposed_norm**2
-    return final, probability
+    ws = [weak_value(sel) for sel in selections]
+    superposed_states = branch_superposition(alpha, dim, ws, m.s, tail_tol=m.tol)
+    results = []
+    for sel, w, superposed in zip(selections, ws, superposed_states):
+        size = fock.norm(superposed)
+        if size < 1e-12 * ((abs(1.0 + w) + abs(1.0 - w)) or 1.0):
+            results.append(DegeneratePostselectionError(
+                f"displaced branches cancel for weak value {w!r} at s={m.s}"))
+        else:
+            results.append((StateVector(superposed.amplitudes / size, normalized=True),
+                            naive_postselection_probability(sel) * 0.25 * size**2))
+    return results
 
 
 def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:

@@ -4,21 +4,34 @@ The package's main path works on O(dim) amplitude vectors; these build
 or apply dense operators and plain truncated states, so the tests can
 compare the fast paths against a direct computation.  The numeric
 doubling probe is the reference for the closed-form dimension choice,
-the one-column oracle for the batched one, and the complex-arithmetic
-dense exponential for the real one.
+the one-column oracle for the batched one, the complex-arithmetic
+dense exponential for the real one, and the point-by-point sweep loop
+for the sweep that evaluates each shared pointer once.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
 
+from spacsim import fock, observables
 from spacsim.errors import (
     ConvergenceError,
     DegeneratePostselectionError,
     DimensionMismatchError,
     InvalidParameterError,
+    SpacsimError,
     TruncationError,
+)
+from spacsim.experiments import (
+    ParamSet,
+    PointResult,
+    SweepResult,
+    SweepRow,
+    SweepSpec,
+    _error_row,
+    evaluate_point,
 )
 from spacsim.fock import (
     DIM_CAP,
@@ -209,3 +222,70 @@ def single_selection_oracle(
         )
     projected = StateVector(block / math.sqrt(probability), normalized=True)
     return projected, probability
+
+
+# ---------------------------------------------------------------- sweeps
+#
+# The sweep loop run_sweep had before it grouped points by pointer: one
+# evaluate_point call per row (per series for photon numbers), in
+# series-major order; kept as its reference.
+
+def _series_label(series: str, value: float) -> str:
+    return f"{series}={value:.17g}"
+
+
+def _with(params: ParamSet, name: str, value: float) -> ParamSet:
+    return replace(params, **{name: value})
+
+
+def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
+    if spec.observable == "mandel_q":
+        return observables.mandel_q(point.state)
+    if spec.observable == "squeezing":
+        return observables.squeezing(point.state, point.params.phi_quad)
+    return point.true_prob  # postselection_prob
+
+
+def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
+    """x -> SweepRow for one series; both steps may raise SpacsimError.
+
+    A photon-number series evaluates its single point up front and reads
+    every grid value from that distribution.
+    """
+    if spec.swept != "n":
+        def scalar_row(x: float) -> SweepRow:
+            point = evaluate_point(_with(base, spec.swept, x), tol=spec.tol, max_dim=spec.max_dim)
+            return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
+        return scalar_row
+    point = evaluate_point(base, tol=spec.tol, max_dim=spec.max_dim)
+    probs = observables.photon_distribution(point.state)
+
+    def photon_row(x: float) -> SweepRow:
+        fock.require_finite(n=x)
+        n = int(round(x))
+        if n < 0:
+            raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
+        value = float(probs[n]) if n < point.dim else 0.0
+        return SweepRow(label, float(n), value, point.tail_mass, point.true_prob)
+    return photon_row
+
+
+def _evaluate_series(spec: SweepSpec, series_value: float) -> list[SweepRow]:
+    label = _series_label(spec.series, series_value)
+    try:
+        row_at = _row_maker(spec, _with(spec.fixed, spec.series, series_value), label)
+    except SpacsimError as exc:
+        return [_error_row(label, x, exc) for x in spec.grid]
+    rows = []
+    for x in spec.grid:
+        try:
+            rows.append(row_at(x))
+        except SpacsimError as exc:
+            rows.append(_error_row(label, x, exc))
+    return rows
+
+
+def point_by_point_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate a sweep one point after another, in series-major order."""
+    rows = tuple(row for value in spec.series_values for row in _evaluate_series(spec, value))
+    return SweepResult(spec=spec, rows=rows)

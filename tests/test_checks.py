@@ -1,6 +1,6 @@
 """The verification suite behind ``spacsim check``: cost and repeatability."""
 
-from spacsim import checks, measurement
+from spacsim import checks, fock, measurement
 
 
 def test_oracle_grid_evolves_each_pointer_once(monkeypatch):
@@ -15,6 +15,24 @@ def test_oracle_grid_evolves_each_pointer_once(monkeypatch):
     monkeypatch.setattr(measurement, "joint_evolution_project", counted)
     assert checks.check_oracle_grid().passed
     assert calls == [6] * 27
+
+
+def test_oracle_grid_builds_each_pointers_branches_once(monkeypatch):
+    # the main path serves the six selections from one pair of displaced branches
+    selections_per_call = []
+    builds = []
+    pointer = measurement.postselected_pointer
+    displaced = fock.displaced_spacs
+
+    def counted(alpha, dim, selections, m):
+        selections_per_call.append(len(selections))
+        return pointer(alpha, dim, selections, m)
+
+    monkeypatch.setattr(measurement, "postselected_pointer", counted)
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: builds.append(a) or displaced(*a))
+    assert checks.check_oracle_grid().passed
+    assert selections_per_call == [6] * 27
+    assert len(builds) == 27
 
 
 def test_run_all_is_repeatable():

@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from spacsim import cli, experiments
 from spacsim.cli import main, parse_angle
 
 PI = math.pi
@@ -251,6 +252,29 @@ def test_unwritable_out_is_a_file_error(runner, tmp_path, args):
     config = tmp_path / "run.conf"
     config.write_text(f"out={target}\n")
     assert_one_line_file_error(runner.invoke(main, args + ["--config", str(config)]))
+
+
+@pytest.mark.parametrize("args, computation", [
+    (["state", "--r", "1"], (experiments, "evaluate_point")),
+    (["sweep", "--var", "r", "--grid", "1,2", "--series", "s",
+      "--series-values", "0.5", "--observable", "mandel_q"], (cli, "run_sweep")),
+    (["figure", "fig1a"], (cli, "run_sweep")),
+], ids=["state", "sweep", "figure"])
+def test_config_format_is_a_usage_error_before_any_computation(
+    runner, tmp_path, monkeypatch, args, computation
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the format was checked")
+
+    monkeypatch.setattr(*computation, refuse)
+    config = tmp_path / "run.conf"
+    config.write_text("format=xml\n")
+    result = runner.invoke(main, args + ["--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    message = result.output.strip().splitlines()[-1]
+    assert "format" in message and "csv" in message and "json" in message and "xml" in message
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- figure

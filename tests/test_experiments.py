@@ -1,16 +1,17 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spacsim import checks, errors, fock
+from spacsim import checks, errors, experiments, fock
 from spacsim.experiments import (
     FIGURE_IDS,
     ParamSet,
     SweepSpec,
+    evaluate_group,
     evaluate_point,
     figure_preset,
     run_sweep,
@@ -18,6 +19,8 @@ from spacsim.experiments import (
 from spacsim.fock import CoherentParams
 from spacsim.measurement import MeasurementConfig, SelectionConfig
 from spacsim.observables import analytic_q_initial, analytic_s_initial, squeezing
+
+from _reference import point_by_point_sweep
 
 PI = math.pi
 
@@ -305,3 +308,136 @@ def test_point_memory_stays_linear_in_dim():
         tracemalloc.stop()
     assert point.dim == 1151
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ------------------------------------------------- one build per shared pointer
+
+def comparable(rows):
+    """Row fields with NaN as None, so NaN-valued error rows compare equal."""
+    return [
+        tuple(None if isinstance(v, float) and math.isnan(v) else v for v in astuple(row))
+        for row in rows
+    ]
+
+
+_PHI = st.sampled_from([0.0, -0.0, PI / 9, PI / 3, PI / 2, 0.9 * PI, 0.999 * PI, 0.9995 * PI, PI])
+_R = st.sampled_from([0.0, -0.0, 0.5, 2.0, 4.0, 99999.0, -1.0, math.nan])
+_S = st.sampled_from([0.0, -0.0, 0.1, 1.0, 2.5, -0.5, math.inf])
+_N = st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.4, 7.0, 25.0, 200.0, math.nan])
+_VALUES = {"phi_pre": _PHI, "r": _R, "s": _S, "n": _N}
+
+
+@st.composite
+def sweep_specs(draw):
+    swept, series = draw(st.sampled_from([
+        ("r", "phi_pre"), ("s", "phi_pre"),  # series over phi_pre
+        ("phi_pre", "r"), ("phi_pre", "s"),  # grids over phi_pre
+        ("n", "phi_pre"), ("n", "s"), ("n", "r"),  # photon-number series
+    ]))
+    values = lambda name: tuple(draw(st.lists(_VALUES[name], min_size=1, max_size=5)))
+    observable = "p_of_n" if swept == "n" else draw(
+        st.sampled_from(["mandel_q", "squeezing", "postselection_prob"]))
+    fixed = ParamSet(
+        r=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        theta=draw(st.sampled_from([0.0, PI / 9, PI / 2])),
+        delta=draw(st.sampled_from([0.0, PI / 4])),
+        phi_pre=draw(st.sampled_from([0.0, PI / 3])),
+        s=draw(st.sampled_from([0.0, 0.5])),
+        phi_quad=draw(st.sampled_from([0.0, PI / 2])),
+    )
+    return SweepSpec(
+        swept=swept, grid=values(swept), series=series, series_values=values(series),
+        fixed=fixed, observable=observable,
+        tol=draw(st.sampled_from([fock.TAIL_TOL, 1e-4])),
+        max_dim=draw(st.sampled_from([fock.DIM_CAP, 60])),  # 60 fails at r = 4
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_specs())
+@example(SweepSpec(  # series r = +-0 share one pointer group
+    swept="phi_pre", grid=(0.0, PI / 3, PI), series="r", series_values=(-0.0, 0.0, 2.0, -0.0),
+    fixed=ParamSet(theta=PI / 9, delta=PI / 4, s=0.5, phi_quad=PI / 2), observable="squeezing",
+))
+@example(SweepSpec(  # duplicate grid values; +-0 couplings
+    swept="s", grid=(0.0, -0.0, 1.0, 1.0), series="phi_pre", series_values=(PI / 3, 0.0, PI / 3),
+    fixed=ParamSet(r=2.0, theta=PI / 9), observable="mandel_q",
+))
+def test_grouped_sweep_rows_equal_point_by_point_reference(spec):
+    assert comparable(run_sweep(spec).rows) == comparable(point_by_point_sweep(spec).rows)
+
+
+@pytest.mark.parametrize("limit", [1, 3, experiments.GROUP_LIMIT])
+def test_long_phi_pre_grids_build_one_branch_pair_per_chunk(monkeypatch, limit):
+    spec = SweepSpec(
+        swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 7)), series="s",
+        series_values=(0.5, 1.0), fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
+    )
+    expected = comparable(point_by_point_sweep(spec).rows)
+    calls = []
+    displaced = fock.displaced_spacs
+    monkeypatch.setattr(experiments, "GROUP_LIMIT", limit)
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
+    assert comparable(run_sweep(spec).rows) == expected
+    assert len(calls) == 2 * math.ceil(7 / limit)
+
+
+def test_long_phi_pre_grid_holds_a_bounded_number_of_states():
+    # 1000 selections share one pointer at dim 319: all their states at once
+    # peak above 10 MiB, GROUP_LIMIT of them at a time below 5 MiB
+    spec = SweepSpec(
+        swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 1000)), series="s",
+        series_values=(1.0,), fixed=ParamSet(r=12.0), observable="postselection_prob",
+    )
+    tracemalloc.start()
+    try:
+        result = run_sweep(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(row.status == "ok" for row in result.rows)
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
+    # 81 r values x 4 phi_pre series at s = 1: the four selections share each pointer
+    calls = []
+    displaced = fock.displaced_spacs
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
+    result = run_sweep(figure_preset("fig3b"))
+    assert len(result.rows) == 324
+    assert len(calls) == 81
+
+
+def test_evaluate_group_matches_evaluate_point():
+    base = ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, s=0.5, phi_quad=PI / 2)
+    group = tuple(replace(base, phi_pre=phi) for phi in (0.0, PI / 3, PI / 3, 0.9 * PI))
+    for grouped, params in zip(evaluate_group(group), group):
+        single = evaluate_point(params)
+        assert grouped.params == params and grouped.dim == single.dim
+        assert grouped.weak_value == single.weak_value
+        assert grouped.true_prob == single.true_prob
+        assert grouped.tail_mass == single.tail_mass
+        np.testing.assert_array_equal(grouped.state.amplitudes, single.state.amplitudes)
+
+
+def test_evaluate_group_raises_selection_errors_before_pointer_errors():
+    with pytest.raises(errors.UndefinedWeakValueError):
+        evaluate_group((ParamSet(r=99999.0), ParamSet(r=99999.0, phi_pre=PI)))
+    with pytest.raises(errors.ConvergenceError):
+        evaluate_group((ParamSet(r=99999.0), ParamSet(r=99999.0, phi_pre=PI / 2)))
+
+
+def test_degenerate_selection_is_a_status_row_for_that_selection_only(monkeypatch):
+    # no physical selection cancels the two branches, so stand-in branches
+    # v and -v make w = 0 cancel while w = 1 keeps 2v
+    alpha = CoherentParams(1.0)
+    pointer = fock.spacs_state(alpha, fock.adaptive_dim(alpha, 0.1)).amplitudes
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: [pointer, -pointer])
+    spec = SweepSpec(
+        swept="r", grid=(1.0,), series="phi_pre", series_values=(0.0, PI / 2),
+        fixed=ParamSet(s=0.1, phi_quad=PI / 2), observable="postselection_prob",
+    )
+    degenerate, kept = run_sweep(spec).rows
+    assert degenerate.status == "DegeneratePostselectionError"
+    assert kept.status == "ok" and 0.0 < kept.value <= 1.0

@@ -120,7 +120,9 @@ def test_naive_probability_near_orthogonal():
 def test_true_probability_reduces_to_naive_at_s_zero():
     sel = SelectionConfig(PI / 3, PI / 4)
     naive = naive_postselection_probability(sel)
-    _, true = postselected_pointer(CoherentParams(2.0, PI / 9), 60, sel, MeasurementConfig(0.0))
+    [(_, true)] = postselected_pointer(
+        CoherentParams(2.0, PI / 9), 60, (sel,), MeasurementConfig(0.0)
+    )
     assert true == pytest.approx(naive, abs=1e-14)
 
 
@@ -128,9 +130,11 @@ def test_true_probability_frozen_values():
     # frozen from the dense-oracle run at dim 120/160
     alpha = CoherentParams(2.0, PI / 9)
     sel = SelectionConfig(PI / 3, PI / 4)
-    _, p_half = postselected_pointer(alpha, 90, sel, MeasurementConfig(0.5))
+    [(_, p_half)] = postselected_pointer(alpha, 90, (sel,), MeasurementConfig(0.5))
     assert p_half == pytest.approx(0.83423152942618839, abs=1e-9)
-    _, p_flat = postselected_pointer(alpha, 90, SelectionConfig(0.0, 0.0), MeasurementConfig(1.0))
+    [(_, p_flat)] = postselected_pointer(
+        alpha, 90, (SelectionConfig(0.0, 0.0),), MeasurementConfig(1.0)
+    )
     assert p_flat == pytest.approx(0.46756600857048475, abs=1e-9)
     assert 0.0 < p_flat <= 1.0
 
@@ -141,7 +145,8 @@ def test_true_probability_matches_oracle():
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.1)
     [(_, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
-    assert postselected_pointer(alpha, 90, sel, mconf)[1] == pytest.approx(oracle_prob, abs=1e-12)
+    [(_, prob)] = postselected_pointer(alpha, 90, (sel,), mconf)
+    assert prob == pytest.approx(oracle_prob, abs=1e-12)
 
 
 # ---------------------------------------------------------------- final state
@@ -149,7 +154,9 @@ def test_true_probability_matches_oracle():
 def test_final_state_unchanged_at_s_zero():
     alpha = CoherentParams(1.3, 0.4)
     pointer = spacs_state(alpha, 40)
-    final, _ = postselected_pointer(alpha, 40, selection_for(0.7 + 0.1j), MeasurementConfig(0.0))
+    [(final, _)] = postselected_pointer(
+        alpha, 40, (selection_for(0.7 + 0.1j),), MeasurementConfig(0.0)
+    )
     np.testing.assert_allclose(final.amplitudes, pointer.amplitudes, atol=1e-14)
 
 
@@ -157,7 +164,7 @@ def test_final_state_single_branch_at_unit_weak_value():
     dim = 60
     alpha = CoherentParams(1.5)
     pointer = spacs_state(alpha, dim)
-    final, _ = postselected_pointer(alpha, dim, selection_for(1.0), MeasurementConfig(0.8))
+    [(final, _)] = postselected_pointer(alpha, dim, (selection_for(1.0),), MeasurementConfig(0.8))
     displaced = normalize(
         apply(fock.displacement_matrix(0.4, dim), pointer)
     )
@@ -167,7 +174,9 @@ def test_final_state_single_branch_at_unit_weak_value():
 def test_final_state_rejects_invalid_dimension():
     for dim in (0, 1):
         with pytest.raises(errors.InvalidDimensionError):
-            postselected_pointer(CoherentParams(1.0), dim, selection_for(0.0), MeasurementConfig(0.1))
+            postselected_pointer(
+                CoherentParams(1.0), dim, (selection_for(0.0),), MeasurementConfig(0.1)
+            )
 
 
 def test_final_state_enforces_pointer_tail_check():
@@ -177,9 +186,9 @@ def test_final_state_enforces_pointer_tail_check():
     with pytest.raises(errors.TruncationError):
         spacs_state(alpha, 16, tail_tol=1e-6)
     with pytest.raises(errors.TruncationError):
-        postselected_pointer(alpha, 16, selection_for(0.5), MeasurementConfig(0.1, tol=1e-6))
+        postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1, tol=1e-6))
     spacs_state(alpha, 16, tail_tol=1e-4)
-    postselected_pointer(alpha, 16, selection_for(0.5), MeasurementConfig(0.1, tol=1e-4))
+    postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1, tol=1e-4))
 
 
 def test_final_state_matches_oracle_reference_point():
@@ -188,7 +197,7 @@ def test_final_state_matches_oracle_reference_point():
     pointer = spacs_state(alpha, dim)
     sel = SelectionConfig(PI / 3, PI / 4)
     mconf = MeasurementConfig(0.5)
-    final, _ = postselected_pointer(alpha, dim, sel, mconf)
+    [(final, _)] = postselected_pointer(alpha, dim, (sel,), mconf)
     [(oracle_state, _)] = joint_evolution_project(pointer, (sel,), mconf)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
@@ -197,15 +206,67 @@ def test_small_coupling_continuity():
     dim = 50
     alpha = CoherentParams(1.2, 0.3)
     pointer = spacs_state(alpha, dim)
-    final, _ = postselected_pointer(alpha, dim, selection_for(0.5), MeasurementConfig(1e-6))
+    [(final, _)] = postselected_pointer(alpha, dim, (selection_for(0.5),), MeasurementConfig(1e-6))
     assert fidelity(final, pointer) > 1 - 1e-10
 
 
 def test_final_state_normalized_for_large_weak_values():
     dim = 70
     sel = SelectionConfig(0.99 * PI, 0.6)
-    final, _ = postselected_pointer(CoherentParams(1.0, 0.2), dim, sel, MeasurementConfig(1.5))
+    [(final, _)] = postselected_pointer(
+        CoherentParams(1.0, 0.2), dim, (sel,), MeasurementConfig(1.5)
+    )
     assert abs(norm(final) - 1.0) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=6.0),
+    st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=0.999 * PI),
+            st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+        ),
+        min_size=1, max_size=6,
+    ),
+)
+def test_batched_pointer_matches_one_selection_at_a_time(r, theta, s, angles):
+    # every selection's slot carries the bytes of its own one-selection call
+    alpha = CoherentParams(r, theta)
+    dim = fock.adaptive_dim(alpha, s)
+    selections = tuple(SelectionConfig(phi_pre, delta) for phi_pre, delta in angles)
+    mconf = MeasurementConfig(s)
+    batched = postselected_pointer(alpha, dim, selections, mconf)
+    assert len(batched) == len(selections)
+    for sel, (state, prob) in zip(selections, batched):
+        [(ref_state, ref_prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
+        np.testing.assert_array_equal(state.amplitudes, ref_state.amplitudes)
+        assert prob == ref_prob
+
+
+def test_degenerate_selection_keeps_its_own_slot(monkeypatch):
+    # no physical selection cancels the branches; stand-in branches v and -v
+    # cancel at w = 0 and give 2v at w = 1
+    alpha = CoherentParams(1.0)
+    pointer = spacs_state(alpha, 30).amplitudes
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *args: [pointer, -pointer])
+    kept, cancelled = postselected_pointer(
+        alpha, 30, (SelectionConfig(PI / 2), SelectionConfig(0.0)), MeasurementConfig(0.1)
+    )
+    assert isinstance(cancelled, errors.DegeneratePostselectionError)
+    state, prob = kept
+    np.testing.assert_allclose(state.amplitudes, pointer, atol=1e-15)
+    assert prob == pytest.approx(0.5 * 0.25 * 4.0, abs=1e-15)
+
+
+def test_branch_superposition_builds_the_branches_once(monkeypatch):
+    calls = []
+    displaced = fock.displaced_spacs
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
+    states = branch_superposition(CoherentParams(1.0), 40, (0.0, 1.0, 0.5j), 0.5)
+    assert len(states) == 3 and len(calls) == 1
 
 
 # ---------------------------------------------------------------- beta
@@ -225,7 +286,8 @@ def test_beta_matches_numeric_norm_reference_point():
     alpha = CoherentParams(2.0, PI / 9)
     dim = 90
     w = weak_value(SelectionConfig(PI / 3, PI / 4))
-    numeric = 1.0 / norm(branch_superposition(alpha, dim, w, 0.5))
+    [superposed] = branch_superposition(alpha, dim, (w,), 0.5)
+    numeric = 1.0 / norm(superposed)
     assert analytic_beta(alpha, w, 0.5) == pytest.approx(numeric, abs=1e-8)
 
 
@@ -334,7 +396,7 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
     dim = fock.adaptive_dim(alpha, s)
     sel = SelectionConfig(phi_pre, delta)
     mconf = MeasurementConfig(s)
-    final, prob = postselected_pointer(alpha, dim, sel, mconf)
+    [(final, prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
     [(oracle_state, oracle_prob)] = joint_evolution_project(
         spacs_state(alpha, dim), (sel,), mconf
     )
@@ -367,7 +429,7 @@ def test_oracle_agreement_small_grid():
         pointer = spacs_state(alpha, dim)
         sel = SelectionConfig(phi_pre, delta)
         mconf = MeasurementConfig(s)
-        final, prob = postselected_pointer(alpha, dim, sel, mconf)
+        [(final, prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
         [(oracle_state, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
         assert fidelity(final, oracle_state) > 1 - 1e-9
         assert prob == pytest.approx(oracle_prob, abs=1e-9)
