@@ -3,9 +3,12 @@
 Commands: ``state`` (single-point record), ``sweep`` (custom sweep),
 ``figure <id>`` (bundled presets fig1a..fig4b), ``check`` (self
 verification).  Angles accept rational-pi strings such as ``pi/9`` or
-``2pi/3`` so preset parameters can be reproduced bit-exactly.  Exit
+``2pi/3`` so preset parameters can be reproduced bit-exactly.  A
+``--config`` file's ``key=value`` lines become option defaults, so click
+converts them with each option's own type and explicit flags win.  Exit
 codes: 0 success, 1 failed check, 2 usage, validation or file I/O
-error, 3 numerical convergence failure.
+error, 3 numerical convergence failure; ``_Command`` maps library errors
+to 2 or 3.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ _PI_PATTERN = re.compile(
     re.IGNORECASE,
 )
 
-_DEFAULTS = {
-    "r": "0", "theta": "0", "delta": "0", "phi_pre": "0", "s": "0", "phi_quad": "0",
-    "tol": str(fock.TAIL_TOL), "max_dim": str(fock.DIM_CAP), "format": "csv",
-}
-
-
-#: most points a start:stop:step range may expand to
+#: most rows a sweep may ask for (grid points times series values), and so
+#: also most points a start:stop:step range may expand to
 MAX_GRID_POINTS = 100_000
+
+#: keys a ``--config`` file may set: option names, ``-`` or ``_`` alike
+_CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "tol", "max_dim", "format",
+                "out")
 
 
 class NumericFailure(click.ClickException):
@@ -45,6 +47,22 @@ class FileFailure(click.ClickException):
     """A config file that cannot be read or an output that cannot be written."""
 
     exit_code = 2
+
+
+class _Command(click.Command):
+    """Maps library errors to exit codes: ValueError subclasses 2, the rest 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SpacsimError as exc:
+            if isinstance(exc, ValueError):
+                raise click.UsageError(str(exc), ctx)
+            raise NumericFailure(str(exc))
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 def _number(text: str) -> float:
@@ -74,9 +92,17 @@ def parse_angle(text: str) -> float:
         raise click.UsageError(f"cannot parse angle {text!r}; use a number or e.g. pi/9")
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+class _Angle(click.ParamType):
+    name = "angle"
+
+    def convert(self, value, param, ctx):
+        return value if isinstance(value, float) else parse_angle(value)
+
+
+def _load_config(ctx, _param, path: str | None) -> None:
+    """Make the file's values the option defaults, converted by each option's type."""
     if path is None:
-        return {}
+        return
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -90,47 +116,30 @@ def _read_config(path: str | None) -> dict[str, str]:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
-
-
-def _merge(flag_values: dict[str, str | None], config: dict[str, str]) -> dict[str, str]:
-    """Explicit flags win over the config file, which wins over defaults."""
-    merged = dict(_DEFAULTS)
-    for key, value in config.items():
-        if key not in merged and key != "out":
+    for key in values:
+        if key not in _CONFIG_KEYS:
             raise click.UsageError(f"unknown config key {key!r}")
-        merged[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    if merged["format"] not in ("csv", "json"):
-        raise click.UsageError(f"format must be csv or json, got {merged['format']!r}")
-    return merged
+    ctx.default_map = {"fmt" if key == "format" else key: value for key, value in values.items()}
 
 
-def _build_params(merged: dict[str, str]) -> ParamSet:
-    angles = {key: parse_angle(merged[key]) for key in ("theta", "delta", "phi_pre", "phi_quad")}
-    try:
-        params = ParamSet(r=_number(merged["r"]), s=_number(merged["s"]), **angles)
-        params.selection  # the library enforces the phi_pre rules
-    except SpacsimError as exc:
-        _guard(exc)
-    return params
-
-
-def _truncation(merged: dict[str, str]) -> tuple[float, int]:
-    try:
-        tol = float(merged["tol"])
-        max_dim = int(merged["max_dim"])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def _check_tol(_ctx, _param, tol: float) -> float:
     if not 0.0 < tol <= 1e-4:
         raise click.UsageError(f"tol must be in (0, 1e-4], got {tol}")
+    return tol
+
+
+def _check_max_dim(_ctx, _param, max_dim: int) -> int:
     if not 2 <= max_dim <= fock.DIM_CAP:
         raise click.UsageError(
             f"max-dim must be at least 2 and at most {fock.DIM_CAP}, got {max_dim}"
         )
-    return tol, max_dim
+    return max_dim
+
+
+def _build_params(flags: dict[str, float]) -> ParamSet:
+    params = ParamSet(**flags)
+    params.selection  # the library enforces the phi_pre rules
+    return params
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -143,33 +152,28 @@ def _emit(text: str, out: str | None) -> None:
             raise FileFailure(f"cannot write {out}: {exc}")
 
 
-def _guard(exc: SpacsimError):
-    if isinstance(exc, ValueError):
-        raise click.UsageError(str(exc))
-    raise NumericFailure(str(exc))
-
-
 def _param_options(fn):
-    for decl, key in [
-        ("--phi-quad", "phi_quad"), ("--s", "s"), ("--phi-pre", "phi_pre"),
-        ("--delta", "delta"), ("--theta", "theta"), ("--r", "r"),
-    ]:
-        fn = click.option(decl, key, default=None, help=f"parameter {key}")(fn)
+    for key in ("phi_quad", "s", "phi_pre", "delta", "theta", "r"):
+        fn = click.option("--" + key.replace("_", "-"), key, default=0.0, help=f"parameter {key}",
+                          type=float if key in ("r", "s") else _Angle())(fn)
     return fn
 
 
 def _common_options(fn):
-    fn = click.option("--config", default=None, type=click.Path(exists=True),
+    fn = click.option("--config", type=click.Path(exists=True), is_eager=True,
+                      expose_value=False, callback=_load_config,
                       help="flat key=value file merged under explicit flags")(fn)
-    fn = click.option("--format", "fmt", default=None,
+    fn = click.option("--format", "fmt", default="csv",
                       type=click.Choice(["csv", "json"]), help="output format")(fn)
     fn = click.option("--out", default=None, help="output path (default: stdout)")(fn)
-    fn = click.option("--max-dim", "max_dim", default=None, help="truncation cap")(fn)
-    fn = click.option("--tol", default=None, help="truncation tolerance")(fn)
+    fn = click.option("--max-dim", "max_dim", type=int, default=fock.DIM_CAP,
+                      callback=_check_max_dim, help="truncation cap")(fn)
+    fn = click.option("--tol", type=float, default=fock.TAIL_TOL, callback=_check_tol,
+                      help="truncation tolerance")(fn)
     return fn
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Postselected von Neumann measurement with a photon-added coherent pointer."""
 
@@ -177,30 +181,24 @@ def main():
 @main.command()
 @_param_options
 @_common_options
-def state(tol, max_dim, out, fmt, config, **flags):
+def state(tol, max_dim, out, fmt, **flags):
     """Evaluate one parameter point and emit its record."""
-    merged = _merge({**flags, "tol": tol, "max_dim": max_dim, "format": fmt}, _read_config(config))
-    params = _build_params(merged)
-    tol_v, max_dim_v = _truncation(merged)
-    try:
-        point = experiments.evaluate_point(params, tol=tol_v, max_dim=max_dim_v)
-        probs = observables.photon_distribution(point.state)
-        mean, _ = observables.distribution_moments(probs)
-        record = {
-            "weak_value_re": point.weak_value.real,
-            "weak_value_im": point.weak_value.imag,
-            "naive_postselection_prob": point.naive_prob,
-            "true_postselection_prob": point.true_prob,
-            "mean_photon": mean,
-            "mandel_q": observables.mandel_q(point.state),
-            "squeezing": observables.squeezing(point.state, params.phi_quad),
-            "tail_mass": point.tail_mass,
-            "dim": point.dim,
-        }
-    except SpacsimError as exc:
-        _guard(exc)
-    _emit(serialize.render(merged["format"], serialize.STATE_COLUMNS, [record]),
-          merged.get("out") if out is None else out)
+    params = _build_params(flags)
+    point = experiments.evaluate_point(params, tol=tol, max_dim=max_dim)
+    probs = observables.photon_distribution(point.state)
+    mean, _ = observables.distribution_moments(probs)
+    record = {
+        "weak_value_re": point.weak_value.real,
+        "weak_value_im": point.weak_value.imag,
+        "naive_postselection_prob": point.naive_prob,
+        "true_postselection_prob": point.true_prob,
+        "mean_photon": mean,
+        "mandel_q": observables.mandel_q(point.state),
+        "squeezing": observables.squeezing(point.state, params.phi_quad),
+        "tail_mass": point.tail_mass,
+        "dim": point.dim,
+    }
+    _emit(serialize.render(fmt, serialize.STATE_COLUMNS, [record]), out)
 
 
 def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
@@ -236,45 +234,29 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
               type=click.Choice(list(experiments.OBSERVABLES)))
 @_param_options
 @_common_options
-def sweep(swept, grid, series, series_values, observable, tol, max_dim, out, fmt, config, **flags):
+def sweep(swept, grid, series, series_values, observable, tol, max_dim, out, fmt, **flags):
     """Run a custom parameter sweep and emit its rows."""
-    merged = _merge({**flags, "tol": tol, "max_dim": max_dim, "format": fmt}, _read_config(config))
-    fixed = _build_params(merged)
-    tol_v, max_dim_v = _truncation(merged)
-    angle_like = {"phi_pre"}
-    try:
-        spec = SweepSpec(
-            swept=swept,
-            grid=_parse_grid(grid, angle=swept in angle_like),
-            series=series,
-            series_values=_parse_grid(series_values, angle=series in angle_like),
-            fixed=fixed,
-            observable=observable,
-            tol=tol_v,
-            max_dim=max_dim_v,
+    fixed = _build_params(flags)
+    grid_v = _parse_grid(grid, angle=swept == "phi_pre")
+    series_v = _parse_grid(series_values, angle=series == "phi_pre")
+    if len(grid_v) * len(series_v) > MAX_GRID_POINTS:
+        raise click.UsageError(
+            f"sweep asks for {len(grid_v) * len(series_v)} rows; at most {MAX_GRID_POINTS}"
         )
-        result = run_sweep(spec)
-    except SpacsimError as exc:
-        _guard(exc)
-    _emit(serialize.render(merged["format"], serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)),
-          out if out is not None else merged.get("out"))
+    result = run_sweep(SweepSpec(swept=swept, grid=grid_v, series=series, series_values=series_v,
+                                 fixed=fixed, observable=observable, tol=tol, max_dim=max_dim))
+    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), out)
 
 
 @main.command()
 @click.argument("fig_id", type=click.Choice(list(experiments.FIGURE_IDS)))
 @_common_options
-def figure(fig_id, tol, max_dim, out, fmt, config):
+def figure(fig_id, tol, max_dim, out, fmt):
     """Run a bundled figure preset and write its rows to a file."""
-    merged = _merge({"tol": tol, "max_dim": max_dim, "format": fmt}, _read_config(config))
-    tol_v, max_dim_v = _truncation(merged)
-    fmt_v = merged["format"]
-    try:
-        spec = replace(figure_preset(fig_id), tol=tol_v, max_dim=max_dim_v)
-        result = run_sweep(spec)
-    except SpacsimError as exc:
-        _guard(exc)
-    target = out if out is not None else merged.get("out", f"{fig_id}.{fmt_v}")
-    _emit(serialize.render(fmt_v, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), target)
+    spec = replace(figure_preset(fig_id), tol=tol, max_dim=max_dim)
+    result = run_sweep(spec)
+    target = out if out is not None else f"{fig_id}.{fmt}"
+    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), target)
     notes = "; ".join(f"{key}: {value}" for key, value in spec.metadata)
     click.echo(f"{fig_id}: {len(result.rows)} rows -> {target}")
     click.echo(f"max tail mass {result.max_tail_mass:.3e}; {notes}")

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from spacsim import cli, experiments
 from spacsim.cli import main, parse_angle
@@ -390,3 +392,154 @@ def test_check_quick_passes(runner):
     for name in ("mandel-q-closed-form", "squeezing-closed-form",
                  "two-branch-unitary-identity", "trend-assertions"):
         assert f"PASS {name}" in result.output
+
+
+def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch):
+    # 50 001 grid points pass the per-range cap; times three series they do not
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the row count was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    result = runner.invoke(main, [
+        "sweep", "--var", "r", "--grid", "0:1:2e-5", "--series", "s",
+        "--series-values", "0,0.5,1", "--observable", "mandel_q",
+    ])
+    assert result.exit_code == 2
+    assert "at most 100000" in result.output
+
+
+# ---------------------------------------------------------------- config keys
+
+CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "tol", "max_dim", "format", "out"}
+
+COMMANDS = {
+    "state": ["state", "--r", "2", "--theta", "pi/9", "--phi-pre", "pi/3", "--s", "0.1"],
+    "sweep": ["sweep", "--var", "s", "--grid", "0,0.5", "--series", "phi_pre",
+              "--series-values", "pi/9,0.9999pi", "--observable", "mandel_q", "--r", "2"],
+    "figure": ["figure", "fig1a"],
+}
+
+
+def run_isolated(runner, tmp_path, args, config=None):
+    """Exit code, output and every file written, from a fresh directory."""
+    if config is not None:
+        (tmp_path / "run.conf").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.conf")]
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, args)
+        files = {p.name: p.read_bytes() for p in sorted(Path(cwd).iterdir())}
+    return result.exit_code, result.output, files
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("key,value,other", [
+    ("tol", "1e-30", "1e-6"),
+    ("max_dim", "40", "4096"),
+    ("max-dim", "40", "4096"),
+    ("format", "json", "csv"),
+    ("out", "from_config.txt", "from_flag.txt"),
+])
+def test_config_value_matches_flag_and_flag_wins(runner, tmp_path, command, key, value, other):
+    args = COMMANDS[command]
+    flag = "--" + key.replace("_", "-")
+    from_config = run_isolated(runner, tmp_path, args, f"{key}={value}\n")
+    from_flag = run_isolated(runner, tmp_path, args + [flag, value])
+    assert from_config == from_flag
+    assert from_flag != run_isolated(runner, tmp_path, args)
+    overridden = run_isolated(runner, tmp_path, args + [flag, other], f"{key}={value}\n")
+    assert overridden == run_isolated(runner, tmp_path, args + [flag, other])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_config_accepts_exactly_the_option_keys(runner, tmp_path, monkeypatch, command):
+    def refuse(*_args, **_kwargs):
+        raise RuntimeError("stub")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    monkeypatch.setattr(experiments, "evaluate_point", refuse)
+    candidates = CONFIG_KEYS | {"fmt", "config", "threads", "wavelength"}
+    for cmd in (cli.state, cli.sweep, cli.figure):
+        for param in cmd.params:
+            candidates |= {param.name} | {opt.lstrip("-") for opt in param.opts}
+    assert {"var", "grid", "config", "fmt"} <= candidates
+    for key in sorted(candidates):
+        exit_code, output, _ = run_isolated(runner, tmp_path, COMMANDS[command], f"{key}=1\n")
+        normalized = key.replace("-", "_")
+        if normalized in CONFIG_KEYS:
+            assert "unknown config key" not in output, key
+        else:
+            assert exit_code == 2 and f"unknown config key {normalized!r}" in output, key
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nan_tol_is_a_usage_error_before_any_computation(
+    runner, tmp_path, monkeypatch, command, source
+):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before tol was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    monkeypatch.setattr(experiments, "evaluate_point", refuse)
+    config = tmp_path / "nan.conf"
+    config.write_text("tol=nan\n")
+    extra = ["--tol", "nan"] if source == "flag" else ["--config", str(config)]
+    result = runner.invoke(main, COMMANDS[command] + extra + ["--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "tol must be in" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------- fuzz
+
+FUZZ_VALUES = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "5e-324", "pi/0", "0.9999pi", "", "abc", "1e3"]
+) | st.floats().map(repr)
+PARAM_FLAGS = ("--r", "--theta", "--delta", "--phi-pre", "--s", "--phi-quad")
+TRUNCATION_FLAGS = ("--tol", "--max-dim", "--format")
+# every accepted key but out (which writes a file), a dashed alias and an unknown key
+FUZZ_KEYS = tuple(sorted(CONFIG_KEYS - {"out"})) + ("max-dim", "wavelength")
+
+
+@st.composite
+def cli_inputs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    if command == "figure":
+        args = ["figure", draw(st.sampled_from(experiments.FIGURE_IDS)), "--out", "fig.out"]
+        flags = TRUNCATION_FLAGS
+    else:
+        args = [command]
+        flags = PARAM_FLAGS + TRUNCATION_FLAGS
+    if command == "sweep":
+        small_grid = st.lists(FUZZ_VALUES, min_size=1, max_size=3).map(",".join)
+        args += ["--var", draw(st.sampled_from(experiments.SWEPT_VARIABLES)),
+                 "--grid", draw(small_grid | st.just("0:1:0.5")),
+                 "--series", draw(st.sampled_from(experiments.SERIES_VARIABLES)),
+                 "--series-values", draw(small_grid),
+                 "--observable", draw(st.sampled_from(experiments.OBSERVABLES))]
+    for flag, value in draw(st.lists(st.tuples(st.sampled_from(flags), FUZZ_VALUES), max_size=3)):
+        args += [flag, value]
+    config_line = st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES).map("=".join) | FUZZ_VALUES
+    lines = draw(st.none() | st.lists(config_line, max_size=3))
+    return args, lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_inputs())
+def test_cli_fuzz_exits_with_a_documented_code(inputs):
+    args, lines = inputs
+    runner = CliRunner()
+    with runner.isolated_filesystem(), pytest.MonkeyPatch.context() as patch:
+        if args[0] == "figure":
+            small = experiments.run_sweep(experiments.SweepSpec(
+                swept="r", grid=(1.0,), series="s", series_values=(0.5,),
+                fixed=experiments.ParamSet(), observable="mandel_q",
+            ))
+            patch.setattr(cli, "run_sweep", lambda _spec: small)
+        if lines is not None:
+            Path("run.conf").write_text("".join(line + "\n" for line in lines))
+            args = args + ["--config", "run.conf"]
+        result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, lines, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, lines)
