@@ -21,8 +21,8 @@ from pathlib import Path
 
 import click
 
-from . import checks, experiments, fock, observables, serialize
-from .errors import SpacsimError
+from . import checks, experiments, fock, measurement, observables, serialize
+from .errors import InvalidParameterError, SpacsimError
 from .experiments import ParamSet, SweepSpec, figure_preset, run_sweep
 
 _PI_PATTERN = re.compile(
@@ -96,7 +96,10 @@ class _Angle(click.ParamType):
     name = "angle"
 
     def convert(self, value, param, ctx):
-        return value if isinstance(value, float) else parse_angle(value)
+        try:
+            return value if isinstance(value, float) else parse_angle(value)
+        except click.UsageError as exc:
+            self.fail(str(exc), param, ctx)
 
 
 def _load_config(ctx, _param, path: str | None) -> None:
@@ -123,9 +126,10 @@ def _load_config(ctx, _param, path: str | None) -> None:
 
 
 def _check_tol(_ctx, _param, tol: float) -> float:
-    if not 0.0 < tol <= 1e-4:
-        raise click.UsageError(f"tol must be in (0, 1e-4], got {tol}")
-    return tol
+    try:
+        return fock.check_tol(tol)
+    except InvalidParameterError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _check_max_dim(_ctx, _param, max_dim: int) -> int:
@@ -187,10 +191,11 @@ def state(tol, max_dim, out, fmt, **flags):
     point = experiments.evaluate_point(params, tol=tol, max_dim=max_dim)
     probs = observables.photon_distribution(point.state)
     mean, _ = observables.distribution_moments(probs)
+    w = measurement.weak_value(params.selection)
     record = {
-        "weak_value_re": point.weak_value.real,
-        "weak_value_im": point.weak_value.imag,
-        "naive_postselection_prob": point.naive_prob,
+        "weak_value_re": w.real,
+        "weak_value_im": w.imag,
+        "naive_postselection_prob": measurement.naive_postselection_probability(params.selection),
         "true_postselection_prob": point.true_prob,
         "mean_photon": mean,
         "mandel_q": observables.mandel_q(point.state),

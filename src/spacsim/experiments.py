@@ -110,8 +110,6 @@ class PointResult:
 
     params: ParamSet
     dim: int
-    weak_value: complex
-    naive_prob: float
     true_prob: float
     state: StateVector
     tail_mass: float
@@ -130,10 +128,9 @@ def evaluate_group(
     alpha = group[0].alpha
     dim = fock.adaptive_dim(alpha, group[0].s, tol=tol, cap=max_dim)
     outcomes = measurement.postselected_pointer(alpha, dim, selections, mconf)
-    return [out if isinstance(out, SpacsimError) else PointResult(
-        params, dim, measurement.weak_value(sel), measurement.naive_postselection_probability(sel),
-        out[1], out[0], observables.edge_tail_mass(out[0]),
-    ) for params, sel, out in zip(group, selections, outcomes)]
+    return [out if isinstance(out, SpacsimError) else
+            PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
+            for params, out in zip(group, outcomes)]
 
 
 def evaluate_point(

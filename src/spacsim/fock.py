@@ -3,7 +3,8 @@ displacement matrices, and the choice of Fock dimension from a
 closed-form Poisson tail bound.
 
 Conventions: basis states are |0>..|dim-1> and amplitudes are complex128
-ndarrays.  The main path works on O(dim) amplitude vectors only:
+ndarrays.  A StateVector is always normalized; unnormalized amplitudes
+stay plain arrays.  The main path works on O(dim) amplitude vectors only:
 displaced photon-added coherent states come in closed form from
 ``displaced_spacs``, and ``adaptive_dim`` builds no state at all.  The
 dense complex (dim, dim) displacement matrices serve the criterion-3
@@ -38,6 +39,13 @@ DIM_CAP = 4096
 #: default truncation tolerance: the pre-normalization tail mass state
 #: constructors accept and the doubling change adaptive_dim certifies
 TAIL_TOL = 1e-9
+
+
+def check_tol(tol: float) -> float:
+    """tol, if in [1e-12, 1e-4]: the floating-point tail estimate cannot go lower."""
+    if not 1e-12 <= tol <= 1e-4:
+        raise InvalidParameterError(f"tol must be in [1e-12, 1e-4], got {tol}")
+    return tol
 
 
 def require_finite(**values: float) -> None:
@@ -81,14 +89,12 @@ class CoherentParams:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Finite complex amplitude list over the Fock basis.
+    """Normalized complex amplitude list over the Fock basis.
 
-    The ``normalized`` flag is a promise checked at construction:
-    if set, the squared amplitudes must sum to 1 within 1e-12.
+    Construction checks that the squared amplitudes sum to 1 within 1e-12.
     """
 
     amplitudes: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
@@ -97,12 +103,9 @@ class StateVector:
         _check_dim(amps.shape[0])
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized:
-            total = float(np.sum(np.abs(amps) ** 2))
-            if abs(total - 1.0) > 1e-12:
-                raise InvalidParameterError(
-                    f"state flagged normalized but sum |c_n|^2 = {total!r}"
-                )
+        total = float(np.sum(np.abs(amps) ** 2))
+        if not abs(total - 1.0) <= 1e-12:  # also rejects nan
+            raise InvalidParameterError(f"state is not normalized: sum |c_n|^2 = {total!r}")
 
     @property
     def dim(self) -> int:
@@ -133,18 +136,18 @@ def _photon_added(raw: np.ndarray) -> np.ndarray:
 
 
 def _spacs_amplitudes(
-    alpha: CoherentParams, dim: int, tail_tol: float | None
+    alpha: CoherentParams, dim: int, tail_tol: float
 ) -> tuple[np.ndarray, float]:
     """Truncated a_dag|alpha> before normalization, and its retained norm.
 
     Raises TruncationError when the discarded share of the exact norm^2
-    1 + |alpha|^2 exceeds tail_tol; tail_tol=None skips the check.
+    1 + |alpha|^2 exceeds tail_tol; that share never exceeds 1.
     """
     dim = _check_dim(dim)
     added = _photon_added(_coherent_amplitudes(alpha, dim))
     kept = float(np.sum(np.abs(added) ** 2))
     tail = max(0.0, 1.0 - kept / (1.0 + alpha.mod_sq))
-    if tail_tol is not None and tail > tail_tol:
+    if tail > tail_tol:
         raise TruncationError(
             f"photon-added coherent state r={alpha.r} keeps tail mass {tail:.3e} "
             f"at dim={dim} (tolerance {tail_tol:.3e})"
@@ -152,9 +155,7 @@ def _spacs_amplitudes(
     return added, math.sqrt(kept)
 
 
-def spacs_state(
-    alpha: CoherentParams, dim: int, tail_tol: float | None = TAIL_TOL
-) -> StateVector:
+def spacs_state(alpha: CoherentParams, dim: int, tail_tol: float = TAIL_TOL) -> StateVector:
     """Normalized single-photon-added coherent state a_dag|alpha>.
 
     The exact normalization constant is (1 + |alpha|^2)^(-1/2); the
@@ -162,14 +163,11 @@ def spacs_state(
     basis, so that constant never enters the numerics.  c_0 = 0 always.
     """
     added, kept_norm = _spacs_amplitudes(alpha, dim, tail_tol)
-    return StateVector(added / kept_norm, normalized=True)
+    return StateVector(added / kept_norm)
 
 
 def displaced_spacs(
-    alpha: CoherentParams,
-    shifts: tuple[complex, ...],
-    dim: int,
-    tail_tol: float | None = TAIL_TOL,
+    alpha: CoherentParams, shifts: tuple[complex, ...], dim: int, tail_tol: float = TAIL_TOL
 ) -> list[np.ndarray]:
     """D(b)|Psi> for each b in shifts, with |Psi> = spacs_state(alpha, dim, tail_tol).
 
@@ -297,7 +295,3 @@ def inner_product(bra: StateVector, ket: StateVector) -> complex:
     if bra.dim != ket.dim:
         raise DimensionMismatchError(f"dimensions differ: {bra.dim} vs {ket.dim}")
     return complex(np.vdot(bra.amplitudes, ket.amplitudes))
-
-
-def norm(state: StateVector) -> float:
-    return float(np.linalg.norm(state.amplitudes))

@@ -13,14 +13,15 @@ with w the weak value of sigma_x.  ``postselected_pointer`` is the one
 builder of that state: it takes the pointer's parameters (alpha and the
 Fock dimension) and selections, builds both displaced branches once in
 closed form in O(dim) (``fock.displaced_spacs``, no displacement matrix)
-for all selections, since only w depends on them, normalizes each
-numerically and returns its exact postselection probability from the
-same superposition.  The closed-form normalization is kept as a
-cross-check, and an independent oracle evolves the full qubit (x)
-pointer space with the sparse ``expm_multiply`` for validation, at any
-dimension; it evolves the pointer once for any number of selections and
-shares no code with the closed-form branches.  The dense (real) ``expm``
-of the coupling is kept only for the two-branch unitary identity check.
+for all selections, since only w depends on them, and superposes them as
+plain amplitude arrays.  Each selection gets one normalized StateVector
+and its exact postselection probability from the same superposition.
+The closed-form normalization is kept as a cross-check, and an
+independent oracle evolves the full qubit (x) pointer space with the
+sparse ``expm_multiply`` for validation, at any dimension; it evolves
+the pointer once for any number of selections and shares no code with
+the closed-form branches.  The dense (real) ``expm`` of the coupling is
+kept only for the two-branch unitary identity check.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class MeasurementConfig:
         require_finite(s=self.s)
         if self.s < 0:
             raise InvalidParameterError(f"coupling strength must be >= 0, got {self.s}")
-        if not 0.0 < self.tol <= 1e-4:
-            raise InvalidParameterError(f"truncation tol must be in (0, 1e-4], got {self.tol}")
+        fock.check_tol(self.tol)
 
 
 def weak_value(sel: SelectionConfig) -> complex:
@@ -107,16 +107,16 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
 
 def branch_superposition(
     alpha: CoherentParams, dim: int, ws: tuple[complex, ...], s: float,
-    tail_tol: float | None = fock.TAIL_TOL,
-) -> list[StateVector]:
-    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, unnormalized, for each w in ws
-    and the pointer |Psi> = spacs_state(alpha, dim, tail_tol).
+    tail_tol: float = fock.TAIL_TOL,
+) -> list[np.ndarray]:
+    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi> as an unnormalized amplitude
+    array, for each w in ws and the pointer |Psi> = spacs_state(alpha, dim, tail_tol).
 
     Both branches come in closed form from one fock.displaced_spacs call,
     which raises TruncationError as spacs_state does.
     """
     plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim, tail_tol)
-    return [StateVector((1.0 + w) * plus + (1.0 - w) * minus, normalized=False) for w in ws]
+    return [(1.0 + w) * plus + (1.0 - w) * minus for w in ws]
 
 
 def postselected_pointer(
@@ -133,15 +133,15 @@ def postselected_pointer(
     one whose branches cancel gets its DegeneratePostselectionError instead.
     """
     ws = [weak_value(sel) for sel in selections]
-    superposed_states = branch_superposition(alpha, dim, ws, m.s, tail_tol=m.tol)
+    superposed = branch_superposition(alpha, dim, ws, m.s, tail_tol=m.tol)
     results = []
-    for sel, w, superposed in zip(selections, ws, superposed_states):
-        size = fock.norm(superposed)
+    for sel, w, amps in zip(selections, ws, superposed):
+        size = float(np.linalg.norm(amps))
         if size < 1e-12 * ((abs(1.0 + w) + abs(1.0 - w)) or 1.0):
             results.append(DegeneratePostselectionError(
                 f"displaced branches cancel for weak value {w!r} at s={m.s}"))
         else:
-            results.append((StateVector(superposed.amplitudes / size, normalized=True),
+            results.append((StateVector(amps / size),
                             naive_postselection_probability(sel) * 0.25 * size**2))
     return results
 
@@ -218,8 +218,6 @@ def joint_evolution_project(
     from scipy import sparse
     from scipy.sparse.linalg import expm_multiply
 
-    if not pointer.normalized:
-        raise InvalidParameterError("pointer state must be normalized")
     dim = pointer.dim
     root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
     # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
@@ -237,5 +235,4 @@ def joint_evolution_project(
         raise DegeneratePostselectionError(
             f"oracle postselection probability vanished at s={m.s}"
         )
-    return [(StateVector(v / math.sqrt(p), normalized=True), p)
-            for v, p in zip(projected, probabilities)]
+    return [(StateVector(v / math.sqrt(p)), p) for v, p in zip(projected, probabilities)]

@@ -14,14 +14,12 @@ import math
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameterError, UndefinedQError
+from .errors import UndefinedQError
 from .fock import CoherentParams, StateVector
 
 
 def photon_distribution(state: StateVector) -> np.ndarray:
-    """P(n) = |<n|state>|^2 for a normalized state."""
-    if not state.normalized:
-        raise InvalidParameterError("photon distribution requires a normalized state")
+    """P(n) = |<n|state>|^2."""
     return np.abs(state.amplitudes) ** 2
 
 
@@ -52,7 +50,7 @@ def analytic_q_initial(alpha: CoherentParams) -> float:
 
 
 def squeezing(state: StateVector, phi: float) -> float:
-    """Squeezing parameter S_phi = Var(X_phi) - 1/2 of a normalized state.
+    """Squeezing parameter S_phi = Var(X_phi) - 1/2.
 
     X_phi = (a e^{-i phi} + a_dag e^{i phi}) / sqrt(2) is applied on the
     truncated basis as two shifted sqrt(n) vectors, the same truncation
@@ -60,8 +58,6 @@ def squeezing(state: StateVector, phi: float) -> float:
     certifies squeezing of the phi quadrature below the vacuum variance
     1/2.
     """
-    if not state.normalized:
-        raise InvalidParameterError("squeezing requires a normalized state")
     amps = state.amplitudes
     ph = complex(math.cos(phi), math.sin(phi)) / math.sqrt(2.0)
     root_n = np.sqrt(np.arange(1, state.dim, dtype=np.float64))

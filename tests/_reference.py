@@ -41,7 +41,6 @@ from spacsim.fock import (
     _check_dim,
     _coherent_amplitudes,
     displaced_spacs,
-    norm,
     require_finite,
 )
 from spacsim.measurement import SIGMA_X, MeasurementConfig, SelectionConfig
@@ -71,14 +70,15 @@ def fock_state(n: int, dim: int) -> StateVector:
         raise InvalidParameterError(f"Fock index {n} outside basis of dimension {dim}")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[n] = 1.0
-    return StateVector(amps, normalized=True)
+    return StateVector(amps)
 
 
-def normalize(state: StateVector) -> StateVector:
-    n = norm(state)
+def normalize(amps: np.ndarray) -> StateVector:
+    """The state with amplitudes proportional to amps."""
+    n = float(np.linalg.norm(amps))
     if n < 1e-150:
         raise InvalidParameterError("cannot normalize a zero state vector")
-    return StateVector(state.amplitudes / n, normalized=True)
+    return StateVector(amps / n)
 
 
 def phase_quadrature(dim: int, phi: float) -> np.ndarray:
@@ -88,24 +88,21 @@ def phase_quadrature(dim: int, phi: float) -> np.ndarray:
     return (a * ph.conjugate() + adag * ph) / math.sqrt(2.0)
 
 
-def coherent_state(
-    alpha: CoherentParams, dim: int, tail_tol: float | None = TAIL_TOL
-) -> StateVector:
+def coherent_state(alpha: CoherentParams, dim: int, tail_tol: float = TAIL_TOL) -> StateVector:
     """Coherent state |alpha>, renormalized over the truncated basis.
 
-    Raises TruncationError when the discarded tail mass exceeds tail_tol;
-    pass tail_tol=None to skip the check.
+    Raises TruncationError when the discarded tail mass exceeds tail_tol.
     """
     dim = _check_dim(dim)
     raw = _coherent_amplitudes(alpha, dim)
     kept = float(np.sum(np.abs(raw) ** 2))
     tail = max(0.0, 1.0 - kept)
-    if tail_tol is not None and tail > tail_tol:
+    if tail > tail_tol:
         raise TruncationError(
             f"coherent state r={alpha.r} keeps tail mass {tail:.3e} at dim={dim} "
             f"(tolerance {tail_tol:.3e})"
         )
-    return StateVector(raw / math.sqrt(kept), normalized=True)
+    return StateVector(raw / math.sqrt(kept))
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -121,8 +118,8 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(defect[:half, :half])))
 
 
-def apply(op: np.ndarray, state: StateVector) -> StateVector:
-    """op @ state as a new (unnormalized) StateVector.
+def apply(op: np.ndarray, state: StateVector) -> np.ndarray:
+    """op @ state as an (unnormalized) amplitude array.
 
     Uses einsum rather than BLAS so results are bit-identical across
     thread counts.
@@ -133,18 +130,17 @@ def apply(op: np.ndarray, state: StateVector) -> StateVector:
         raise DimensionMismatchError(
             f"operator dimension {op.shape[1]} does not match state dimension {state.dim}"
         )
-    amps = np.einsum("ij,j->i", np.asarray(op, dtype=np.complex128), state.amplitudes)
-    return StateVector(amps, normalized=False)
+    return np.einsum("ij,j->i", np.asarray(op, dtype=np.complex128), state.amplitudes)
 
 
 def expectation(op: np.ndarray, state: StateVector) -> complex:
     """<state|op|state>."""
-    return complex(np.vdot(state.amplitudes, apply(op, state).amplitudes))
+    return complex(np.vdot(state.amplitudes, apply(op, state)))
 
 
 def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
     """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation."""
-    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=None)
+    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=1.0)
     probs = np.abs(shifted) ** 2
     mass = float(np.sum(probs))
     mean = float(np.sum(np.arange(dim) * probs)) / mass
@@ -202,8 +198,6 @@ def single_selection_oracle(
     from scipy import sparse
     from scipy.sparse.linalg import expm_multiply
 
-    if not pointer.normalized:
-        raise InvalidParameterError("pointer state must be normalized")
     dim = pointer.dim
     root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
     # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
@@ -220,7 +214,7 @@ def single_selection_oracle(
         raise DegeneratePostselectionError(
             f"oracle postselection probability vanished at s={m.s}"
         )
-    projected = StateVector(block / math.sqrt(probability), normalized=True)
+    projected = StateVector(block / math.sqrt(probability))
     return projected, probability
 
 

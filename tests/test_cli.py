@@ -186,6 +186,17 @@ def test_state_rejects_angle_divided_by_zero(runner):
     assert "divides by zero" in result.output
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unparseable_angle_names_its_option(runner, tmp_path, source):
+    config = tmp_path / "theta.conf"
+    config.write_text("theta=x\n")
+    extra = ["--theta", "x"] if source == "flag" else ["--config", str(config)]
+    result = runner.invoke(main, ["state"] + extra)
+    assert result.exit_code == 2
+    assert "Invalid value for '--theta'" in result.output
+    assert "cannot parse angle 'x'" in result.output
+
+
 @pytest.mark.parametrize("grid,series_values", [
     ("1,,2", "0.5"),
     ("1,x", "0.5"),
@@ -471,24 +482,39 @@ def test_config_accepts_exactly_the_option_keys(runner, tmp_path, monkeypatch, c
             assert exit_code == 2 and f"unknown config key {normalized!r}" in output, key
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_nan_tol_is_a_usage_error_before_any_computation(
-    runner, tmp_path, monkeypatch, command, source
-):
+def assert_tol_rejected_before_any_computation(runner, tmp_path, monkeypatch, args):
     def refuse(*_args, **_kwargs):
         raise AssertionError("computed before tol was checked")
 
     monkeypatch.setattr(cli, "run_sweep", refuse)
     monkeypatch.setattr(experiments, "evaluate_point", refuse)
+    result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "tol must be in [1e-12, 1e-4]" in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nan_tol_is_a_usage_error_before_any_computation(
+    runner, tmp_path, monkeypatch, command, source
+):
     config = tmp_path / "nan.conf"
     config.write_text("tol=nan\n")
     extra = ["--tol", "nan"] if source == "flag" else ["--config", str(config)]
-    result = runner.invoke(main, COMMANDS[command] + extra + ["--out", str(tmp_path / "o")])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "tol must be in" in result.output
-    assert not (tmp_path / "o").exists()
+    assert_tol_rejected_before_any_computation(
+        runner, tmp_path, monkeypatch, COMMANDS[command] + extra)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_tol_below_floor_is_a_usage_error_before_any_computation(
+    runner, tmp_path, monkeypatch, command
+):
+    # 1e-13 already fails 150 points from r = 14 on; no point meets 1e-30
+    for tol in ("1e-13", "1e-30"):
+        assert_tol_rejected_before_any_computation(
+            runner, tmp_path, monkeypatch, COMMANDS[command] + ["--tol", tol])
 
 
 # ---------------------------------------------------------------- fuzz

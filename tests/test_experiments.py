@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spacsim import checks, errors, experiments, fock
+from spacsim import checks, errors, experiments, fock, measurement
 from spacsim.experiments import (
     FIGURE_IDS,
     ParamSet,
@@ -40,8 +40,8 @@ FIG1A_REFERENCE = {
 
 def test_evaluate_point_measurement_off_reduces_to_initial_state():
     point = evaluate_point(ParamSet(r=1.0, theta=0.4, phi_pre=0.0, s=0.0))
-    assert point.weak_value == 0.0
-    assert point.naive_prob == 1.0
+    assert measurement.weak_value(point.params.selection) == 0.0
+    assert measurement.naive_postselection_probability(point.params.selection) == 1.0
     assert point.true_prob == pytest.approx(1.0, abs=1e-12)
     from spacsim.observables import mandel_q
 
@@ -409,13 +409,24 @@ def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
     assert len(calls) == 81
 
 
+def test_fig3b_builds_one_state_per_conditioned_point(monkeypatch):
+    built = []
+    state_vector = measurement.StateVector
+    monkeypatch.setattr(measurement, "StateVector",
+                        lambda *a, **k: built.append(a) or state_vector(*a, **k))
+    result = run_sweep(figure_preset("fig3b"))
+    assert len(result.rows) == 324
+    assert len(built) == 324
+
+
 def test_evaluate_group_matches_evaluate_point():
     base = ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, s=0.5, phi_quad=PI / 2)
     group = tuple(replace(base, phi_pre=phi) for phi in (0.0, PI / 3, PI / 3, 0.9 * PI))
     for grouped, params in zip(evaluate_group(group), group):
         single = evaluate_point(params)
         assert grouped.params == params and grouped.dim == single.dim
-        assert grouped.weak_value == single.weak_value
+        assert measurement.weak_value(grouped.params.selection) == \
+            measurement.weak_value(single.params.selection)
         assert grouped.true_prob == single.true_prob
         assert grouped.tail_mass == single.tail_mass
         np.testing.assert_array_equal(grouped.state.amplitudes, single.state.amplitudes)

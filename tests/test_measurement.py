@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spacsim import errors, fock
 from spacsim.checks import ORACLE_FIDELITY_TOL, ORACLE_PROB_TOL
-from spacsim.fock import CoherentParams, inner_product, norm, spacs_state
+from spacsim.fock import CoherentParams, inner_product, spacs_state
 from spacsim.measurement import (
     MeasurementConfig,
     SelectionConfig,
@@ -102,6 +102,14 @@ def test_measurement_config_rejects_negative_strength():
         MeasurementConfig(-0.5)
 
 
+def test_measurement_config_accepts_only_certifiable_tolerances():
+    # below 1e-12 the floating-point tail estimate cannot certify any state
+    for tol in (1e-13, 0.0, 2e-4, math.nan):
+        with pytest.raises(errors.InvalidParameterError, match=r"\[1e-12, 1e-4\]"):
+            MeasurementConfig(0.1, tol=tol)
+    assert MeasurementConfig(0.1, tol=1e-12).tol == 1e-12
+
+
 # ---------------------------------------------------- postselection probability
 
 def test_naive_probability_endpoints():
@@ -165,9 +173,7 @@ def test_final_state_single_branch_at_unit_weak_value():
     alpha = CoherentParams(1.5)
     pointer = spacs_state(alpha, dim)
     [(final, _)] = postselected_pointer(alpha, dim, (selection_for(1.0),), MeasurementConfig(0.8))
-    displaced = normalize(
-        apply(fock.displacement_matrix(0.4, dim), pointer)
-    )
+    displaced = normalize(apply(fock.displacement_matrix(0.4, dim), pointer))
     assert fidelity(final, displaced) > 1 - 1e-12
 
 
@@ -216,7 +222,7 @@ def test_final_state_normalized_for_large_weak_values():
     [(final, _)] = postselected_pointer(
         CoherentParams(1.0, 0.2), dim, (sel,), MeasurementConfig(1.5)
     )
-    assert abs(norm(final) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(final.amplitudes) - 1.0) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -287,7 +293,7 @@ def test_beta_matches_numeric_norm_reference_point():
     dim = 90
     w = weak_value(SelectionConfig(PI / 3, PI / 4))
     [superposed] = branch_superposition(alpha, dim, (w,), 0.5)
-    numeric = 1.0 / norm(superposed)
+    numeric = 1.0 / np.linalg.norm(superposed)
     assert analytic_beta(alpha, w, 0.5) == pytest.approx(numeric, abs=1e-8)
 
 
