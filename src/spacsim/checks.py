@@ -191,7 +191,7 @@ def trend_assertions() -> list[CheckOutcome]:
     fig1b = experiments.figure_preset("fig1b")
     # keywords as evaluate_group passes them, so its call below hits this lru_cache entry
     initial = fock.spacs_state(fig1b.fixed.alpha, fock.adaptive_dim(
-        fig1b.fixed.alpha, fig1b.fixed.s, tol=fock.TAIL_TOL, cap=fock.DIM_CAP))
+        fig1b.fixed.alpha, fig1b.fixed.s, cap=fock.DIM_CAP))
     modal_n = int(np.argmax(observables.photon_distribution(initial)))
     peaks, variances1b = [], []
     for point in experiments.evaluate_group(

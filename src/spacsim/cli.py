@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 
 from . import checks, experiments, fock, measurement, observables, serialize
-from .errors import InvalidParameterError, SpacsimError
+from .errors import SpacsimError
 from .experiments import ParamSet, SweepSpec, figure_preset, run_sweep
 
 _PI_PATTERN = re.compile(
@@ -35,8 +35,7 @@ _PI_PATTERN = re.compile(
 MAX_GRID_POINTS = 100_000
 
 #: keys a ``--config`` file may set: option names, ``-`` or ``_`` alike
-_CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "tol", "max_dim", "format",
-                "out")
+_CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "max_dim", "format", "out")
 
 
 class NumericFailure(click.ClickException):
@@ -125,13 +124,6 @@ def _load_config(ctx, _param, path: str | None) -> None:
     ctx.default_map = {"fmt" if key == "format" else key: value for key, value in values.items()}
 
 
-def _check_tol(_ctx, _param, tol: float) -> float:
-    try:
-        return fock.check_tol(tol)
-    except InvalidParameterError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _check_max_dim(_ctx, _param, max_dim: int) -> int:
     if not 2 <= max_dim <= fock.DIM_CAP:
         raise click.UsageError(
@@ -172,8 +164,6 @@ def _common_options(fn):
     fn = click.option("--out", default=None, help="output path (default: stdout)")(fn)
     fn = click.option("--max-dim", "max_dim", type=int, default=fock.DIM_CAP,
                       callback=_check_max_dim, help="truncation cap")(fn)
-    fn = click.option("--tol", type=float, default=fock.TAIL_TOL, callback=_check_tol,
-                      help="truncation tolerance")(fn)
     return fn
 
 
@@ -185,10 +175,10 @@ def main():
 @main.command()
 @_param_options
 @_common_options
-def state(tol, max_dim, out, fmt, **flags):
+def state(max_dim, out, fmt, **flags):
     """Evaluate one parameter point and emit its record."""
     params = _build_params(flags)
-    point = experiments.evaluate_point(params, tol=tol, max_dim=max_dim)
+    point = experiments.evaluate_point(params, max_dim=max_dim)
     probs = observables.photon_distribution(point.state)
     mean, _ = observables.distribution_moments(probs)
     w = measurement.weak_value(params.selection)
@@ -208,11 +198,12 @@ def state(tol, max_dim, out, fmt, **flags):
 
 def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
     text = text.strip()
+    parse = parse_angle if angle else _number
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise click.UsageError(f"grid {text!r} must be start:stop:step or a comma list")
-        start, stop, step = map(_number, parts)
+        start, stop, step = map(parse, parts)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise click.UsageError(f"bad grid bounds {text!r}")
         # a float first: a tiny step gives inf here, not an OverflowError in int()
@@ -221,10 +212,11 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
             raise click.UsageError(
                 f"grid {text!r} asks for {steps + 1.0:.3g} points; at most {MAX_GRID_POINTS}"
             )
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise click.UsageError(f"grid {text!r}: step does not divide stop - start")
         count = int(round(steps)) + 1
         return tuple(start + (stop - start) * i / (count - 1) for i in range(count)) \
             if count > 1 else (start,)
-    parse = parse_angle if angle else _number
     return tuple(parse(part) for part in text.split(","))
 
 
@@ -239,7 +231,7 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
               type=click.Choice(list(experiments.OBSERVABLES)))
 @_param_options
 @_common_options
-def sweep(swept, grid, series, series_values, observable, tol, max_dim, out, fmt, **flags):
+def sweep(swept, grid, series, series_values, observable, max_dim, out, fmt, **flags):
     """Run a custom parameter sweep and emit its rows."""
     fixed = _build_params(flags)
     grid_v = _parse_grid(grid, angle=swept == "phi_pre")
@@ -249,16 +241,16 @@ def sweep(swept, grid, series, series_values, observable, tol, max_dim, out, fmt
             f"sweep asks for {len(grid_v) * len(series_v)} rows; at most {MAX_GRID_POINTS}"
         )
     result = run_sweep(SweepSpec(swept=swept, grid=grid_v, series=series, series_values=series_v,
-                                 fixed=fixed, observable=observable, tol=tol, max_dim=max_dim))
+                                 fixed=fixed, observable=observable, max_dim=max_dim))
     _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), out)
 
 
 @main.command()
 @click.argument("fig_id", type=click.Choice(list(experiments.FIGURE_IDS)))
 @_common_options
-def figure(fig_id, tol, max_dim, out, fmt):
+def figure(fig_id, max_dim, out, fmt):
     """Run a bundled figure preset and write its rows to a file."""
-    spec = replace(figure_preset(fig_id), tol=tol, max_dim=max_dim)
+    spec = replace(figure_preset(fig_id), max_dim=max_dim)
     result = run_sweep(spec)
     target = out if out is not None else f"{fig_id}.{fmt}"
     _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), target)

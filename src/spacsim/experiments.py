@@ -60,7 +60,6 @@ class SweepSpec:
     series_values: tuple[float, ...]
     fixed: ParamSet
     observable: str
-    tol: float = fock.TAIL_TOL
     max_dim: int = fock.DIM_CAP
     metadata: tuple[tuple[str, str], ...] = ()
 
@@ -116,7 +115,7 @@ class PointResult:
 
 
 def evaluate_group(
-    group: tuple[ParamSet, ...], tol: float = fock.TAIL_TOL, max_dim: int = fock.DIM_CAP
+    group: tuple[ParamSet, ...], max_dim: int = fock.DIM_CAP
 ) -> list[PointResult | DegeneratePostselectionError]:
     """Evaluate points that share (r, theta, s) from one pair of displaced branches.
 
@@ -124,20 +123,18 @@ def evaluate_group(
     whose branches cancel gets its DegeneratePostselectionError in its slot.
     """
     selections = tuple(params.selection for params in group)
-    mconf = MeasurementConfig(group[0].s, tol=tol)
+    mconf = MeasurementConfig(group[0].s)
     alpha = group[0].alpha
-    dim = fock.adaptive_dim(alpha, group[0].s, tol=tol, cap=max_dim)
+    dim = fock.adaptive_dim(alpha, group[0].s, cap=max_dim)
     outcomes = measurement.postselected_pointer(alpha, dim, selections, mconf)
     return [out if isinstance(out, SpacsimError) else
             PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
             for params, out in zip(group, outcomes)]
 
 
-def evaluate_point(
-    params: ParamSet, tol: float = fock.TAIL_TOL, max_dim: int = fock.DIM_CAP
-) -> PointResult:
+def evaluate_point(params: ParamSet, max_dim: int = fock.DIM_CAP) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
-    [point] = evaluate_group((params,), tol=tol, max_dim=max_dim)
+    [point] = evaluate_group((params,), max_dim=max_dim)
     if isinstance(point, SpacsimError):
         raise point
     return point
@@ -203,8 +200,8 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     for members in map(groups.pop, list(groups)):  # releases each group once evaluated
         for chunk in (members[k:k + GROUP_LIMIT] for k in range(0, len(members), GROUP_LIMIT)):
             try:
-                points = [evaluate_point(chunk[0][1], spec.tol, spec.max_dim)] if len(chunk) == 1 \
-                    else evaluate_group(tuple(p for _, p in chunk), spec.tol, spec.max_dim)
+                points = [evaluate_point(chunk[0][1], spec.max_dim)] if len(chunk) == 1 \
+                    else evaluate_group(tuple(p for _, p in chunk), spec.max_dim)
             except SpacsimError as exc:
                 points = [exc] * len(chunk)
             for (i, _), point in zip(chunk, points):

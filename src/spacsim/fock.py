@@ -36,16 +36,9 @@ TWO_PI = 2.0 * math.pi
 #: default cap for adaptive truncation and the largest max_dim the CLI accepts
 DIM_CAP = 4096
 
-#: default truncation tolerance: the pre-normalization tail mass state
+#: the truncation tolerance: the pre-normalization tail mass state
 #: constructors accept and the doubling change adaptive_dim certifies
 TAIL_TOL = 1e-9
-
-
-def check_tol(tol: float) -> float:
-    """tol, if in [1e-12, 1e-4]: the floating-point tail estimate cannot go lower."""
-    if not 1e-12 <= tol <= 1e-4:
-        raise InvalidParameterError(f"tol must be in [1e-12, 1e-4], got {tol}")
-    return tol
 
 
 def require_finite(**values: float) -> None:
@@ -135,41 +128,39 @@ def _photon_added(raw: np.ndarray) -> np.ndarray:
     return added
 
 
-def _spacs_amplitudes(
-    alpha: CoherentParams, dim: int, tail_tol: float
-) -> tuple[np.ndarray, float]:
+def _spacs_amplitudes(alpha: CoherentParams, dim: int) -> tuple[np.ndarray, float]:
     """Truncated a_dag|alpha> before normalization, and its retained norm.
 
     Raises TruncationError when the discarded share of the exact norm^2
-    1 + |alpha|^2 exceeds tail_tol; that share never exceeds 1.
+    1 + |alpha|^2 exceeds TAIL_TOL; that share never exceeds 1.
     """
     dim = _check_dim(dim)
     added = _photon_added(_coherent_amplitudes(alpha, dim))
     kept = float(np.sum(np.abs(added) ** 2))
     tail = max(0.0, 1.0 - kept / (1.0 + alpha.mod_sq))
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
             f"photon-added coherent state r={alpha.r} keeps tail mass {tail:.3e} "
-            f"at dim={dim} (tolerance {tail_tol:.3e})"
+            f"at dim={dim} (tolerance {TAIL_TOL:.3e})"
         )
     return added, math.sqrt(kept)
 
 
-def spacs_state(alpha: CoherentParams, dim: int, tail_tol: float = TAIL_TOL) -> StateVector:
+def spacs_state(alpha: CoherentParams, dim: int) -> StateVector:
     """Normalized single-photon-added coherent state a_dag|alpha>.
 
     The exact normalization constant is (1 + |alpha|^2)^(-1/2); the
     returned amplitudes are normalized numerically over the truncated
     basis, so that constant never enters the numerics.  c_0 = 0 always.
     """
-    added, kept_norm = _spacs_amplitudes(alpha, dim, tail_tol)
+    added, kept_norm = _spacs_amplitudes(alpha, dim)
     return StateVector(added / kept_norm)
 
 
 def displaced_spacs(
-    alpha: CoherentParams, shifts: tuple[complex, ...], dim: int, tail_tol: float = TAIL_TOL
+    alpha: CoherentParams, shifts: tuple[complex, ...], dim: int
 ) -> list[np.ndarray]:
-    """D(b)|Psi> for each b in shifts, with |Psi> = spacs_state(alpha, dim, tail_tol).
+    """D(b)|Psi> for each b in shifts, with |Psi> = spacs_state(alpha, dim).
 
     Closed form, O(dim) per shift and no displacement matrix:
     D(b) a_dag|alpha> = e^{(b alpha* - b* alpha)/2} (a_dag - b*)|alpha + b>,
@@ -179,7 +170,7 @@ def displaced_spacs(
     spacs_state divides by, so b = 0 returns the pointer's amplitudes
     exactly and the retained mass of a branch measures its truncation.
     """
-    added, kept_norm = _spacs_amplitudes(alpha, dim, tail_tol)
+    added, kept_norm = _spacs_amplitudes(alpha, dim)
     a = alpha.alpha
     branches = []
     for b in shifts:
@@ -256,15 +247,15 @@ def _doubling_bound(reach: float, s: float, dim: int) -> float:
 
 
 @lru_cache(maxsize=4096)
-def adaptive_dim(
-    alpha: CoherentParams, s: float, tol: float = TAIL_TOL, cap: int = DIM_CAP
-) -> int:
-    """Smallest probed dimension at which doubling moves the retained mass
-    and mean photon number of D(s) a_dag|alpha> by at most tol.
+def adaptive_dim(alpha: CoherentParams, s: float, cap: int = DIM_CAP) -> int:
+    """Fock dimension at which doubling moves the retained mass and mean
+    photon number of D(s) a_dag|alpha> by at most TAIL_TOL.
 
-    Starts from floor((|alpha|+s)^2 + 10(|alpha|+s) + 20), clamped to cap + 1
-    so a huge reach fails the cap check instead of overflowing, and doubles
-    until _doubling_bound certifies tol / 2; the other half absorbs rounding.
+    The dimension is floor((|alpha|+s)^2 + 10(|alpha|+s) + 20), clamped to
+    cap + 1 so a huge reach fails the cap check instead of overflowing.  It
+    is accepted when _doubling_bound certifies TAIL_TOL / 2 there (the other
+    half absorbs rounding) and is a ConvergenceError otherwise; below the
+    cap the bound is at most 2e-14, so only the cap ever fails.
     D(s) a_dag|alpha> = e^{i phi} (a_dag - s)|alpha + s> and a_dag|alpha> have
     Poisson photon tails at means up to lam = (|alpha|+s)^2, which also cover
     the +-s/2 branches used downstream.  By factorial moments each tail past
@@ -273,21 +264,14 @@ def adaptive_dim(
     2t / (1 - 2t).  P is the Chernoff bound e^{-lam} (e lam / k)^k, valid for
     k > lam, which the start dimension ensures.
     """
-    if tol <= 0:
-        raise InvalidParameterError(f"tolerance must be > 0, got {tol}")
     require_finite(s=s)
     if s < 0:
         raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
     reach = alpha.r + s
     dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, cap + 1)))
-    while True:
-        if dim > cap:
-            raise ConvergenceError(
-                f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}"
-            )
-        if _doubling_bound(reach, s, dim) <= 0.5 * tol:
-            return dim
-        dim *= 2
+    if dim > cap or _doubling_bound(reach, s, dim) > 0.5 * TAIL_TOL:
+        raise ConvergenceError(f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}")
+    return dim
 
 
 def inner_product(bra: StateVector, ket: StateVector) -> complex:

@@ -83,16 +83,14 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class MeasurementConfig:
-    """Coupling strength s = g/sigma plus the truncation tolerance."""
+    """Coupling strength s = g/sigma."""
 
     s: float
-    tol: float = fock.TAIL_TOL
 
     def __post_init__(self):
         require_finite(s=self.s)
         if self.s < 0:
             raise InvalidParameterError(f"coupling strength must be >= 0, got {self.s}")
-        fock.check_tol(self.tol)
 
 
 def weak_value(sel: SelectionConfig) -> complex:
@@ -106,16 +104,15 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
 
 
 def branch_superposition(
-    alpha: CoherentParams, dim: int, ws: tuple[complex, ...], s: float,
-    tail_tol: float = fock.TAIL_TOL,
+    alpha: CoherentParams, dim: int, ws: tuple[complex, ...], s: float
 ) -> list[np.ndarray]:
     """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi> as an unnormalized amplitude
-    array, for each w in ws and the pointer |Psi> = spacs_state(alpha, dim, tail_tol).
+    array, for each w in ws and the pointer |Psi> = spacs_state(alpha, dim).
 
     Both branches come in closed form from one fock.displaced_spacs call,
     which raises TruncationError as spacs_state does.
     """
-    plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim, tail_tol)
+    plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim)
     return [(1.0 + w) * plus + (1.0 - w) * minus for w in ws]
 
 
@@ -125,15 +122,15 @@ def postselected_pointer(
     """Conditioned pointer state and exact postselection probability per selection.
 
     The pointer is the photon-added coherent state a_dag|alpha> on a
-    dim-dimensional basis, held to the tail tolerance m.tol exactly as
-    spacs_state(alpha, dim, tail_tol=m.tol) holds it (TruncationError
-    otherwise); at s = 0 each returned state is that pointer.  The
+    dim-dimensional basis, held to fock.TAIL_TOL exactly as
+    spacs_state(alpha, dim) holds it (TruncationError otherwise); at
+    s = 0 each returned state is that pointer.  The
     probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
     cos^2(phi_pre/2) at s = 0.  All selections share one pair of branches;
     one whose branches cancel gets its DegeneratePostselectionError instead.
     """
     ws = [weak_value(sel) for sel in selections]
-    superposed = branch_superposition(alpha, dim, ws, m.s, tail_tol=m.tol)
+    superposed = branch_superposition(alpha, dim, ws, m.s)
     results = []
     for sel, w, amps in zip(selections, ws, superposed):
         size = float(np.linalg.norm(amps))

@@ -40,7 +40,6 @@ from spacsim.fock import (
     StateVector,
     _check_dim,
     _coherent_amplitudes,
-    displaced_spacs,
     require_finite,
 )
 from spacsim.measurement import SIGMA_X, MeasurementConfig, SelectionConfig
@@ -88,19 +87,19 @@ def phase_quadrature(dim: int, phi: float) -> np.ndarray:
     return (a * ph.conjugate() + adag * ph) / math.sqrt(2.0)
 
 
-def coherent_state(alpha: CoherentParams, dim: int, tail_tol: float = TAIL_TOL) -> StateVector:
+def coherent_state(alpha: CoherentParams, dim: int) -> StateVector:
     """Coherent state |alpha>, renormalized over the truncated basis.
 
-    Raises TruncationError when the discarded tail mass exceeds tail_tol.
+    Raises TruncationError when the discarded tail mass exceeds TAIL_TOL.
     """
     dim = _check_dim(dim)
     raw = _coherent_amplitudes(alpha, dim)
     kept = float(np.sum(np.abs(raw) ** 2))
     tail = max(0.0, 1.0 - kept)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise TruncationError(
             f"coherent state r={alpha.r} keeps tail mass {tail:.3e} at dim={dim} "
-            f"(tolerance {tail_tol:.3e})"
+            f"(tolerance {TAIL_TOL:.3e})"
         )
     return StateVector(raw / math.sqrt(kept))
 
@@ -139,9 +138,16 @@ def expectation(op: np.ndarray, state: StateVector) -> complex:
 
 
 def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple[float, float]:
-    """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation."""
-    (shifted,) = displaced_spacs(alpha, (s,), dim, tail_tol=1.0)
-    probs = np.abs(shifted) ** 2
+    """(retained mass, mean photon number) of D(s) a_dag|alpha> at this truncation.
+
+    |D(s) a_dag|alpha>| = |(a_dag - s)|alpha + s>| over the pointer's retained
+    norm, as displaced_spacs gives it, but without that function's pointer
+    tail check, which the dimensions below the start dimension fail.
+    """
+    pointer = fock._photon_added(_coherent_amplitudes(alpha, dim))
+    beta = alpha.alpha + s
+    raw = _coherent_amplitudes(CoherentParams(abs(beta), math.atan2(beta.imag, beta.real)), dim)
+    probs = np.abs(fock._photon_added(raw) - s * raw) ** 2 / float(np.sum(np.abs(pointer) ** 2))
     mass = float(np.sum(probs))
     mean = float(np.sum(np.arange(dim) * probs)) / mass
     return mass, mean
@@ -248,10 +254,10 @@ def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
     """
     if spec.swept != "n":
         def scalar_row(x: float) -> SweepRow:
-            point = evaluate_point(_with(base, spec.swept, x), tol=spec.tol, max_dim=spec.max_dim)
+            point = evaluate_point(_with(base, spec.swept, x), max_dim=spec.max_dim)
             return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
         return scalar_row
-    point = evaluate_point(base, tol=spec.tol, max_dim=spec.max_dim)
+    point = evaluate_point(base, max_dim=spec.max_dim)
     probs = observables.photon_distribution(point.state)
 
     def photon_row(x: float) -> SweepRow:

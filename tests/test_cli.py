@@ -163,11 +163,6 @@ def test_sweep_rejects_non_finite_fixed_parameter(runner):
     assert result.exit_code == 2
 
 
-def test_state_rejects_bad_tol(runner):
-    result = runner.invoke(main, ["state", "--r", "1", "--tol", "0.5"])
-    assert result.exit_code == 2
-
-
 def test_state_rejects_excessive_max_dim(runner):
     result = runner.invoke(main, ["state", "--r", "1", "--max-dim", "8192"])
     assert result.exit_code == 2
@@ -295,7 +290,7 @@ def test_config_format_is_a_usage_error_before_any_computation(
 def test_figure_writes_deterministic_csv(runner, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    spec_args = ["figure", "fig3c", "--tol", "1e-9"]
+    spec_args = ["figure", "fig3c"]
     res1 = invoke(runner, spec_args + ["--out", str(out1)])
     res2 = invoke(runner, spec_args + ["--out", str(out2)])
     assert res1.exit_code == 0 and res2.exit_code == 0
@@ -386,6 +381,43 @@ def test_sweep_colon_grid(runner):
     assert [float(r["x"]) for r in rows] == [0.0, 0.5, 1.0, 0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("axis", ["grid", "series"])
+def test_phi_pre_range_accepts_pi_strings(runner, axis):
+    def run(values):
+        if axis == "grid":
+            spec = ["--var", "phi_pre", "--grid", values, "--series", "s", "--series-values", "0.5"]
+        else:
+            spec = ["--var", "s", "--grid", "0.5", "--series", "phi_pre", "--series-values", values]
+        return invoke(runner, ["sweep", *spec, "--observable", "mandel_q", "--r", "1"])
+
+    ranged = run("0:pi/2:pi/4")
+    assert ranged.exit_code == 0
+    assert len(list(csv.DictReader(io.StringIO(ranged.output)))) == 3
+    assert ranged.output == run("0,pi/4,pi/2").output
+
+
+@pytest.mark.parametrize("grid", ["0:1:0.4", "0:1:0.3"])
+def test_sweep_rejects_range_step_that_does_not_divide_span(runner, monkeypatch, grid):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    result = runner.invoke(main, [
+        "sweep", "--var", "r", "--grid", grid, "--series", "s",
+        "--series-values", "0", "--observable", "mandel_q",
+    ])
+    assert result.exit_code == 2
+    assert repr(grid) in result.output
+
+
+@pytest.mark.parametrize("grid,count", [("0:3:0.05", 61), ("0:1:0.5", 3), ("0:1:2e-5", 50001)])
+def test_range_grid_keeps_steps_that_divide_span(grid, count):
+    # (3 - 0) / 0.05 is 59.999..., within rounding of 60
+    values = cli._parse_grid(grid, angle=False)
+    assert len(values) == count
+    assert values[0] == 0.0 and values[-1] == float(grid.split(":")[1])
+
+
 def test_sweep_rejects_same_swept_and_series(runner):
     result = runner.invoke(main, [
         "sweep", "--var", "r", "--grid", "0,1", "--series", "r",
@@ -421,7 +453,7 @@ def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch)
 
 # ---------------------------------------------------------------- config keys
 
-CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "tol", "max_dim", "format", "out"}
+CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "max_dim", "format", "out"}
 
 COMMANDS = {
     "state": ["state", "--r", "2", "--theta", "pi/9", "--phi-pre", "pi/3", "--s", "0.1"],
@@ -444,7 +476,6 @@ def run_isolated(runner, tmp_path, args, config=None):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("key,value,other", [
-    ("tol", "1e-30", "1e-6"),
     ("max_dim", "40", "4096"),
     ("max-dim", "40", "4096"),
     ("format", "json", "csv"),
@@ -482,39 +513,26 @@ def test_config_accepts_exactly_the_option_keys(runner, tmp_path, monkeypatch, c
             assert exit_code == 2 and f"unknown config key {normalized!r}" in output, key
 
 
-def assert_tol_rejected_before_any_computation(runner, tmp_path, monkeypatch, args):
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tol_is_a_usage_error_before_any_computation(
+    runner, tmp_path, monkeypatch, command, source
+):
+    # the truncation tolerance is the constant fock.TAIL_TOL, set by no option
     def refuse(*_args, **_kwargs):
-        raise AssertionError("computed before tol was checked")
+        raise AssertionError("computed before the arguments were checked")
 
     monkeypatch.setattr(cli, "run_sweep", refuse)
     monkeypatch.setattr(experiments, "evaluate_point", refuse)
-    result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+    config = tmp_path / "tol.conf"
+    config.write_text("tol=1e-9\n")
+    extra = ["--tol", "1e-9"] if source == "flag" else ["--config", str(config)]
+    result = runner.invoke(main, COMMANDS[command] + extra + ["--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert "tol must be in [1e-12, 1e-4]" in result.output
+    expected = "No such option" if source == "flag" else "unknown config key 'tol'"
+    assert expected in result.output
     assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_nan_tol_is_a_usage_error_before_any_computation(
-    runner, tmp_path, monkeypatch, command, source
-):
-    config = tmp_path / "nan.conf"
-    config.write_text("tol=nan\n")
-    extra = ["--tol", "nan"] if source == "flag" else ["--config", str(config)]
-    assert_tol_rejected_before_any_computation(
-        runner, tmp_path, monkeypatch, COMMANDS[command] + extra)
-
-
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_tol_below_floor_is_a_usage_error_before_any_computation(
-    runner, tmp_path, monkeypatch, command
-):
-    # 1e-13 already fails 150 points from r = 14 on; no point meets 1e-30
-    for tol in ("1e-13", "1e-30"):
-        assert_tol_rejected_before_any_computation(
-            runner, tmp_path, monkeypatch, COMMANDS[command] + ["--tol", tol])
 
 
 # ---------------------------------------------------------------- fuzz
@@ -523,7 +541,7 @@ FUZZ_VALUES = st.sampled_from(
     ["nan", "inf", "-inf", "1e400", "5e-324", "pi/0", "0.9999pi", "", "abc", "1e3"]
 ) | st.floats().map(repr)
 PARAM_FLAGS = ("--r", "--theta", "--delta", "--phi-pre", "--s", "--phi-quad")
-TRUNCATION_FLAGS = ("--tol", "--max-dim", "--format")
+TRUNCATION_FLAGS = ("--max-dim", "--format")
 # every accepted key but out (which writes a file), a dashed alias and an unknown key
 FUZZ_KEYS = tuple(sorted(CONFIG_KEYS - {"out"})) + ("max-dim", "wavelength")
 

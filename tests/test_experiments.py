@@ -348,7 +348,6 @@ def sweep_specs(draw):
     return SweepSpec(
         swept=swept, grid=values(swept), series=series, series_values=values(series),
         fixed=fixed, observable=observable,
-        tol=draw(st.sampled_from([fock.TAIL_TOL, 1e-4])),
         max_dim=draw(st.sampled_from([fock.DIM_CAP, 60])),  # 60 fails at r = 4
     )
 

@@ -197,7 +197,7 @@ def test_spacs_mean_photon_brute_force():
     st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
 )
 def test_spacs_vacuum_amplitude_zero(r, theta):
-    state = spacs_state(CoherentParams(r, theta), 70, tail_tol=1.0)
+    state = spacs_state(CoherentParams(r, theta), 70)
     assert state.amplitudes[0] == 0.0
 
 
@@ -229,7 +229,7 @@ def test_displacement_inverse_product():
 def test_displacement_unitarity_defect(beta):
     # twice the adaptive dimension for twice the displacement reach keeps
     # the retained half block unitary to well below 1e-9
-    dim = 2 * adaptive_dim(CoherentParams(2 * abs(beta), float(np.angle(beta))), 0.0, tol=1e-10)
+    dim = 2 * adaptive_dim(CoherentParams(2 * abs(beta), float(np.angle(beta))), 0.0)
     defect = unitarity_defect(displacement_matrix(beta, dim))
     assert defect < 1e-9
 
@@ -287,8 +287,8 @@ def test_adaptive_dim_floor_bound():
 
 def test_adaptive_dim_leaves_tiny_tail():
     alpha = CoherentParams(4.0)
-    dim = adaptive_dim(alpha, 2.0, tol=1e-10)
-    reference = spacs_state(alpha, 4 * dim, tail_tol=1.0)
+    dim = adaptive_dim(alpha, 2.0)
+    reference = spacs_state(alpha, 4 * dim)
     shifted = displacement_matrix(2.0, 4 * dim) @ reference.amplitudes
     tail = float(np.sum(np.abs(shifted[dim:]) ** 2))
     assert tail < 1e-10
@@ -312,9 +312,9 @@ def test_adaptive_dim_huge_reach_hits_cap_before_overflow():
         adaptive_dim(CoherentParams(1.0), 1e300)
 
 
-def _dim_or_cap(choose, alpha, s, tol):
+def _dim_or_cap(choose, *args):
     try:
-        return choose(alpha, s, tol=tol)
+        return choose(*args)
     except errors.ConvergenceError:
         return "cap"
 
@@ -329,10 +329,27 @@ def _dim_or_cap(choose, alpha, s, tol):
 @example(r=28.0, theta=0.0, s=3.0, log_tol=-9.0)  # dim 1291
 @example(r=0.0, theta=0.0, s=0.0, log_tol=-9.0)  # dim 20
 def test_adaptive_dim_matches_doubling_probe(r, theta, s, log_tol):
+    # the probe doubles until it meets tol; adaptive_dim certifies TAIL_TOL
+    # only, and one dimension serves every tol in [1e-12, 1e-4]
     alpha, tol = CoherentParams(r, theta), 10.0**log_tol
-    assert _dim_or_cap(adaptive_dim, alpha, s, tol) == _dim_or_cap(
-        probe_adaptive_dim, alpha, s, tol
-    )
+    assert _dim_or_cap(adaptive_dim, alpha, s) == _dim_or_cap(probe_adaptive_dim, alpha, s, tol)
+
+
+@pytest.mark.parametrize("r", [36.55, 36.59, 47.3, 59.0])
+def test_truncation_tolerance_keeps_its_margin(r):
+    # r = 36.55 and 36.59 failed the pointer tail check at a 1e-12 tolerance
+    alpha = CoherentParams(r)
+    dim = adaptive_dim(alpha, 0.0)
+    spacs_state(alpha, dim)
+    _, kept_norm = fock._spacs_amplitudes(alpha, dim)
+    assert 1.0 - kept_norm**2 / (1.0 + r * r) < fock.TAIL_TOL / 100
+
+
+def test_adaptive_dim_raises_when_certificate_fails(monkeypatch):
+    adaptive_dim.cache_clear()
+    monkeypatch.setattr(fock, "_doubling_bound", lambda reach, s, dim: 1.0)
+    with pytest.raises(errors.ConvergenceError):
+        adaptive_dim(CoherentParams(1.0), 0.0)
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 2.0, 4.0, 10.0, 28.0])

@@ -102,14 +102,6 @@ def test_measurement_config_rejects_negative_strength():
         MeasurementConfig(-0.5)
 
 
-def test_measurement_config_accepts_only_certifiable_tolerances():
-    # below 1e-12 the floating-point tail estimate cannot certify any state
-    for tol in (1e-13, 0.0, 2e-4, math.nan):
-        with pytest.raises(errors.InvalidParameterError, match=r"\[1e-12, 1e-4\]"):
-            MeasurementConfig(0.1, tol=tol)
-    assert MeasurementConfig(0.1, tol=1e-12).tol == 1e-12
-
-
 # ---------------------------------------------------- postselection probability
 
 def test_naive_probability_endpoints():
@@ -186,15 +178,16 @@ def test_final_state_rejects_invalid_dimension():
 
 
 def test_final_state_enforces_pointer_tail_check():
-    # the same threshold and error as spacs_state(alpha, dim, tail_tol=m.tol)
-    # (tail mass 6.5e-5 at r = 2, dim = 16)
+    # the same threshold and error as spacs_state(alpha, dim)
+    # (tail mass 6.5e-5 at r = 2, dim = 16, above fock.TAIL_TOL)
     alpha = CoherentParams(2.0)
     with pytest.raises(errors.TruncationError):
-        spacs_state(alpha, 16, tail_tol=1e-6)
+        spacs_state(alpha, 16)
     with pytest.raises(errors.TruncationError):
-        postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1, tol=1e-6))
-    spacs_state(alpha, 16, tail_tol=1e-4)
-    postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1, tol=1e-4))
+        postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1))
+    dim = fock.adaptive_dim(alpha, 0.1)
+    spacs_state(alpha, dim)
+    postselected_pointer(alpha, dim, (selection_for(0.5),), MeasurementConfig(0.1))
 
 
 def test_final_state_matches_oracle_reference_point():
