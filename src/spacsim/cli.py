@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
 
-from . import checks, experiments, fock, measurement, observables, serialize
+from . import checks, experiments, measurement, observables, serialize
 from .errors import SpacsimError
 from .experiments import ParamSet, SweepSpec, figure_preset, run_sweep
 
@@ -35,7 +34,7 @@ _PI_PATTERN = re.compile(
 MAX_GRID_POINTS = 100_000
 
 #: keys a ``--config`` file may set: option names, ``-`` or ``_`` alike
-_CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "max_dim", "format", "out")
+_CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "format", "out")
 
 
 class NumericFailure(click.ClickException):
@@ -124,20 +123,6 @@ def _load_config(ctx, _param, path: str | None) -> None:
     ctx.default_map = {"fmt" if key == "format" else key: value for key, value in values.items()}
 
 
-def _check_max_dim(_ctx, _param, max_dim: int) -> int:
-    if not 2 <= max_dim <= fock.DIM_CAP:
-        raise click.UsageError(
-            f"max-dim must be at least 2 and at most {fock.DIM_CAP}, got {max_dim}"
-        )
-    return max_dim
-
-
-def _build_params(flags: dict[str, float]) -> ParamSet:
-    params = ParamSet(**flags)
-    params.selection  # the library enforces the phi_pre rules
-    return params
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
@@ -162,8 +147,6 @@ def _common_options(fn):
     fn = click.option("--format", "fmt", default="csv",
                       type=click.Choice(["csv", "json"]), help="output format")(fn)
     fn = click.option("--out", default=None, help="output path (default: stdout)")(fn)
-    fn = click.option("--max-dim", "max_dim", type=int, default=fock.DIM_CAP,
-                      callback=_check_max_dim, help="truncation cap")(fn)
     return fn
 
 
@@ -175,10 +158,10 @@ def main():
 @main.command()
 @_param_options
 @_common_options
-def state(max_dim, out, fmt, **flags):
+def state(out, fmt, **flags):
     """Evaluate one parameter point and emit its record."""
-    params = _build_params(flags)
-    point = experiments.evaluate_point(params, max_dim=max_dim)
+    params = ParamSet(**flags)
+    point = experiments.evaluate_point(params)
     probs = observables.photon_distribution(point.state)
     mean, _ = observables.distribution_moments(probs)
     w = measurement.weak_value(params.selection)
@@ -231,9 +214,9 @@ def _parse_grid(text: str, angle: bool) -> tuple[float, ...]:
               type=click.Choice(list(experiments.OBSERVABLES)))
 @_param_options
 @_common_options
-def sweep(swept, grid, series, series_values, observable, max_dim, out, fmt, **flags):
+def sweep(swept, grid, series, series_values, observable, out, fmt, **flags):
     """Run a custom parameter sweep and emit its rows."""
-    fixed = _build_params(flags)
+    fixed = ParamSet(**flags)
     grid_v = _parse_grid(grid, angle=swept == "phi_pre")
     series_v = _parse_grid(series_values, angle=series == "phi_pre")
     if len(grid_v) * len(series_v) > MAX_GRID_POINTS:
@@ -241,16 +224,16 @@ def sweep(swept, grid, series, series_values, observable, max_dim, out, fmt, **f
             f"sweep asks for {len(grid_v) * len(series_v)} rows; at most {MAX_GRID_POINTS}"
         )
     result = run_sweep(SweepSpec(swept=swept, grid=grid_v, series=series, series_values=series_v,
-                                 fixed=fixed, observable=observable, max_dim=max_dim))
+                                 fixed=fixed, observable=observable))
     _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), out)
 
 
 @main.command()
 @click.argument("fig_id", type=click.Choice(list(experiments.FIGURE_IDS)))
 @_common_options
-def figure(fig_id, max_dim, out, fmt):
+def figure(fig_id, out, fmt):
     """Run a bundled figure preset and write its rows to a file."""
-    spec = replace(figure_preset(fig_id), max_dim=max_dim)
+    spec = figure_preset(fig_id)
     result = run_sweep(spec)
     target = out if out is not None else f"{fig_id}.{fmt}"
     _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), target)

@@ -10,7 +10,7 @@ instead of aborting the sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ PI = math.pi
 
 @dataclass(frozen=True)
 class ParamSet:
-    """One full parameter point: pointer, selection, coupling, quadrature."""
+    """One checked parameter point; builds its selection, coupling and alpha in that order."""
 
     r: float = 0.0
     theta: float = 0.0
@@ -37,17 +37,15 @@ class ParamSet:
     phi_pre: float = 0.0
     s: float = 0.0
     phi_quad: float = 0.0
+    selection: SelectionConfig = field(init=False, repr=False, compare=False)
+    coupling: MeasurementConfig = field(init=False, repr=False, compare=False)
+    alpha: CoherentParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fock.require_finite(**vars(self))
-
-    @property
-    def alpha(self) -> CoherentParams:
-        return CoherentParams(self.r, self.theta)
-
-    @property
-    def selection(self) -> SelectionConfig:
-        return SelectionConfig(self.phi_pre, self.delta)
+        object.__setattr__(self, "selection", SelectionConfig(self.phi_pre, self.delta))
+        object.__setattr__(self, "coupling", MeasurementConfig(self.s))
+        object.__setattr__(self, "alpha", CoherentParams(self.r, self.theta))
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class SweepSpec:
     series_values: tuple[float, ...]
     fixed: ParamSet
     observable: str
-    max_dim: int = fock.DIM_CAP
     metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -115,26 +112,24 @@ class PointResult:
 
 
 def evaluate_group(
-    group: tuple[ParamSet, ...], max_dim: int = fock.DIM_CAP
+    group: tuple[ParamSet, ...],
 ) -> list[PointResult | DegeneratePostselectionError]:
     """Evaluate points that share (r, theta, s) from one pair of displaced branches.
 
-    Selection errors raise first, then the shared pointer's; a selection
-    whose branches cancel gets its DegeneratePostselectionError in its slot.
+    A selection whose branches cancel gets its DegeneratePostselectionError
+    in its slot; a pointer error (truncation, cap) raises for the group.
     """
-    selections = tuple(params.selection for params in group)
-    mconf = MeasurementConfig(group[0].s)
-    alpha = group[0].alpha
-    dim = fock.adaptive_dim(alpha, group[0].s, cap=max_dim)
-    outcomes = measurement.postselected_pointer(alpha, dim, selections, mconf)
+    dim = fock.adaptive_dim(group[0].alpha, group[0].s)
+    outcomes = measurement.postselected_pointer(
+        group[0].alpha, dim, tuple(params.selection for params in group), group[0].coupling)
     return [out if isinstance(out, SpacsimError) else
             PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
             for params, out in zip(group, outcomes)]
 
 
-def evaluate_point(params: ParamSet, max_dim: int = fock.DIM_CAP) -> PointResult:
+def evaluate_point(params: ParamSet) -> PointResult:
     """Build the pointer, couple, postselect; return the conditioned state."""
-    [point] = evaluate_group((params,), max_dim=max_dim)
+    [point] = evaluate_group((params,))
     if isinstance(point, SpacsimError):
         raise point
     return point
@@ -192,7 +187,6 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
         swept = {} if spec.swept == "n" else {spec.swept: xs[0]}
         try:
             params = replace(spec.fixed, **{spec.series: value}, **swept)
-            params.selection  # selection errors stay with their own rows
         except SpacsimError as exc:
             rows[i] = _point_rows(spec, exc, value, xs)
         else:
@@ -200,20 +194,14 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     for members in map(groups.pop, list(groups)):  # releases each group once evaluated
         for chunk in (members[k:k + GROUP_LIMIT] for k in range(0, len(members), GROUP_LIMIT)):
             try:
-                points = [evaluate_point(chunk[0][1], spec.max_dim)] if len(chunk) == 1 \
-                    else evaluate_group(tuple(p for _, p in chunk), spec.max_dim)
+                points = [evaluate_point(chunk[0][1])] if len(chunk) == 1 \
+                    else evaluate_group(tuple(p for _, p in chunk))
             except SpacsimError as exc:
                 points = [exc] * len(chunk)
             for (i, _), point in zip(chunk, points):
                 rows[i] = _point_rows(spec, point, *cells[i])
     return SweepResult(spec=spec, rows=tuple(row for cell in rows for row in cell))
 
-
-FIGURE_IDS = (
-    "fig1a", "fig1b", "fig2a", "fig2b",
-    "fig3a", "fig3b", "fig3c", "fig3d",
-    "fig4a", "fig4b",
-)
 
 _N_GRID = tuple(float(n) for n in range(26))
 _R_GRID = tuple(np.linspace(0.0, 4.0, 81))
@@ -224,6 +212,62 @@ _PHI_SERIES_LARGE = (PI / 2, 2 * PI / 3, 5 * PI / 6, 8 * PI / 9)
 
 _DEFAULT_NOTE = "series grid and x grid are package defaults, not caption values"
 
+#: the bundled figure presets, built once at import
+_PRESETS = {
+    "fig1a": SweepSpec(
+        swept="n", grid=_N_GRID, series="s", series_values=_S_SERIES,
+        fixed=ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, phi_pre=PI / 3),
+        observable="p_of_n",
+    ),
+    "fig1b": SweepSpec(
+        swept="n", grid=_N_GRID, series="phi_pre", series_values=_PHI_SERIES_LARGE,
+        fixed=ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, s=0.1),
+        observable="p_of_n",
+    ),
+    "fig2a": SweepSpec(
+        swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
+        fixed=ParamSet(theta=PI / 4, delta=0.0, phi_pre=PI / 9),
+        observable="mandel_q",
+    ),
+    "fig2b": SweepSpec(
+        swept="r", grid=_R_GRID, series="phi_pre", series_values=_PHI_SERIES_LARGE,
+        fixed=ParamSet(theta=PI / 4, delta=0.0, s=0.1),
+        observable="mandel_q",
+    ),
+    "fig3a": SweepSpec(
+        swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
+        fixed=ParamSet(theta=PI / 2, delta=0.0, phi_pre=PI / 9, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    "fig3b": SweepSpec(
+        swept="r", grid=_R_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
+        fixed=ParamSet(theta=PI / 2, delta=0.0, s=1.0, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    "fig3c": SweepSpec(
+        swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
+        fixed=ParamSet(r=2.0, theta=PI / 2, delta=0.0, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    "fig3d": SweepSpec(
+        swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
+        fixed=ParamSet(theta=0.0, delta=0.0, phi_pre=PI / 9, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    "fig4a": SweepSpec(
+        swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
+        fixed=ParamSet(r=4.0, theta=0.0, delta=0.0, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    "fig4b": SweepSpec(
+        swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
+        fixed=ParamSet(r=4.0, theta=PI / 2, delta=0.0, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+}
+
+FIGURE_IDS = tuple(_PRESETS)
+
 
 def figure_preset(fig_id: str) -> SweepSpec:
     """Sweep spec for one of the bundled figure presets fig1a..fig4b.
@@ -232,60 +276,8 @@ def figure_preset(fig_id: str) -> SweepSpec:
     the x grids of fig3b-fig3d and fig4 are package defaults, recorded in
     the spec metadata.
     """
-    presets = {
-        "fig1a": SweepSpec(
-            swept="n", grid=_N_GRID, series="s", series_values=_S_SERIES,
-            fixed=ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, phi_pre=PI / 3),
-            observable="p_of_n",
-        ),
-        "fig1b": SweepSpec(
-            swept="n", grid=_N_GRID, series="phi_pre", series_values=_PHI_SERIES_LARGE,
-            fixed=ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, s=0.1),
-            observable="p_of_n",
-        ),
-        "fig2a": SweepSpec(
-            swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
-            fixed=ParamSet(theta=PI / 4, delta=0.0, phi_pre=PI / 9),
-            observable="mandel_q",
-        ),
-        "fig2b": SweepSpec(
-            swept="r", grid=_R_GRID, series="phi_pre", series_values=_PHI_SERIES_LARGE,
-            fixed=ParamSet(theta=PI / 4, delta=0.0, s=0.1),
-            observable="mandel_q",
-        ),
-        "fig3a": SweepSpec(
-            swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
-            fixed=ParamSet(theta=PI / 2, delta=0.0, phi_pre=PI / 9, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-        "fig3b": SweepSpec(
-            swept="r", grid=_R_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
-            fixed=ParamSet(theta=PI / 2, delta=0.0, s=1.0, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-        "fig3c": SweepSpec(
-            swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
-            fixed=ParamSet(r=2.0, theta=PI / 2, delta=0.0, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-        "fig3d": SweepSpec(
-            swept="r", grid=_R_GRID, series="s", series_values=_S_SERIES,
-            fixed=ParamSet(theta=0.0, delta=0.0, phi_pre=PI / 9, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-        "fig4a": SweepSpec(
-            swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
-            fixed=ParamSet(r=4.0, theta=0.0, delta=0.0, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-        "fig4b": SweepSpec(
-            swept="s", grid=_S_GRID, series="phi_pre", series_values=_PHI_SERIES_WIDE,
-            fixed=ParamSet(r=4.0, theta=PI / 2, delta=0.0, phi_quad=PI / 2),
-            observable="squeezing",
-        ),
-    }
     try:
-        preset = presets[fig_id]
+        preset = _PRESETS[fig_id]
     except KeyError:
         raise InvalidParameterError(
             f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURE_IDS)}"

@@ -33,7 +33,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-#: default cap for adaptive truncation and the largest max_dim the CLI accepts
+#: the one cap on the Fock dimension adaptive_dim returns
 DIM_CAP = 4096
 
 #: the truncation tolerance: the pre-normalization tail mass state
@@ -247,12 +247,12 @@ def _doubling_bound(reach: float, s: float, dim: int) -> float:
 
 
 @lru_cache(maxsize=4096)
-def adaptive_dim(alpha: CoherentParams, s: float, cap: int = DIM_CAP) -> int:
+def adaptive_dim(alpha: CoherentParams, s: float) -> int:
     """Fock dimension at which doubling moves the retained mass and mean
     photon number of D(s) a_dag|alpha> by at most TAIL_TOL.
 
     The dimension is floor((|alpha|+s)^2 + 10(|alpha|+s) + 20), clamped to
-    cap + 1 so a huge reach fails the cap check instead of overflowing.  It
+    DIM_CAP + 1 so a huge reach fails the cap check instead of overflowing.  It
     is accepted when _doubling_bound certifies TAIL_TOL / 2 there (the other
     half absorbs rounding) and is a ConvergenceError otherwise; below the
     cap the bound is at most 2e-14, so only the cap ever fails.
@@ -268,9 +268,10 @@ def adaptive_dim(alpha: CoherentParams, s: float, cap: int = DIM_CAP) -> int:
     if s < 0:
         raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
     reach = alpha.r + s
-    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, cap + 1)))
-    if dim > cap or _doubling_bound(reach, s, dim) > 0.5 * TAIL_TOL:
-        raise ConvergenceError(f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}")
+    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, DIM_CAP + 1)))
+    if dim > DIM_CAP or _doubling_bound(reach, s, dim) > 0.5 * TAIL_TOL:
+        raise ConvergenceError(
+            f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {DIM_CAP}")
     return dim
 
 

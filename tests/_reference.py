@@ -25,7 +25,6 @@ from spacsim.errors import (
     TruncationError,
 )
 from spacsim.experiments import (
-    ParamSet,
     PointResult,
     SweepResult,
     SweepRow,
@@ -153,9 +152,7 @@ def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple
     return mass, mean
 
 
-def probe_adaptive_dim(
-    alpha: CoherentParams, s: float, tol: float = 1e-9, cap: int = DIM_CAP
-) -> int:
+def probe_adaptive_dim(alpha: CoherentParams, s: float, tol: float = 1e-9) -> int:
     """Smallest probed dimension whose doubling moves the displaced-state
     observables (retained mass and mean photon number) by less than tol.
 
@@ -169,11 +166,11 @@ def probe_adaptive_dim(
     if s < 0:
         raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
     reach = alpha.r + s
-    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, cap + 1)))
+    dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, DIM_CAP + 1)))
     while True:
-        if dim > cap:
+        if dim > DIM_CAP:
             raise ConvergenceError(
-                f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {cap}"
+                f"adaptive truncation for r={alpha.r}, s={s} exceeded cap {DIM_CAP}"
             )
         mass_lo, mean_lo = _displaced_spacs_profile(alpha, s, dim)
         mass_hi, mean_hi = _displaced_spacs_profile(alpha, s, 2 * dim)
@@ -234,10 +231,6 @@ def _series_label(series: str, value: float) -> str:
     return f"{series}={value:.17g}"
 
 
-def _with(params: ParamSet, name: str, value: float) -> ParamSet:
-    return replace(params, **{name: value})
-
-
 def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
     if spec.observable == "mandel_q":
         return observables.mandel_q(point.state)
@@ -246,18 +239,21 @@ def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
     return point.true_prob  # postselection_prob
 
 
-def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
+def _row_maker(spec: SweepSpec, series_value: float, label: str):
     """x -> SweepRow for one series; both steps may raise SpacsimError.
 
-    A photon-number series evaluates its single point up front and reads
-    every grid value from that distribution.
+    Each point's ParamSet is built whole, from the fixed record with the
+    series and swept values, so its first invalid input is the one
+    reported.  A photon-number series evaluates its single point up front
+    and reads every grid value from that distribution.
     """
+    series = {spec.series: series_value}
     if spec.swept != "n":
         def scalar_row(x: float) -> SweepRow:
-            point = evaluate_point(_with(base, spec.swept, x), max_dim=spec.max_dim)
+            point = evaluate_point(replace(spec.fixed, **series, **{spec.swept: x}))
             return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
         return scalar_row
-    point = evaluate_point(base, max_dim=spec.max_dim)
+    point = evaluate_point(replace(spec.fixed, **series))
     probs = observables.photon_distribution(point.state)
 
     def photon_row(x: float) -> SweepRow:
@@ -273,7 +269,7 @@ def _row_maker(spec: SweepSpec, base: ParamSet, label: str):
 def _evaluate_series(spec: SweepSpec, series_value: float) -> list[SweepRow]:
     label = _series_label(spec.series, series_value)
     try:
-        row_at = _row_maker(spec, _with(spec.fixed, spec.series, series_value), label)
+        row_at = _row_maker(spec, series_value, label)
     except SpacsimError as exc:
         return [_error_row(label, x, exc) for x in spec.grid]
     rows = []

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from spacsim import cli, experiments
+from spacsim import cli, errors, experiments, fock
 from spacsim.cli import main, parse_angle
 
 PI = math.pi
@@ -155,24 +155,57 @@ def test_sweep_rejects_oversized_range_grid(runner, grid):
         assert "at most 100000" in result.output
 
 
-def test_sweep_rejects_non_finite_fixed_parameter(runner):
+@pytest.mark.parametrize("swept", ["r", "n"], ids=["var-r", "var-n"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--r", "-1", "coherent modulus must be >= 0"),
+    ("--s", "-1", "coupling strength must be >= 0"),
+    ("--delta", "nan", "delta must be finite"),
+], ids=["negative-r", "negative-s", "nan-delta"])
+def test_sweep_rejects_bad_fixed_parameter_before_any_computation(
+    runner, monkeypatch, flag, value, message, swept
+):
+    # checked even where the sweep overrides it, as --phi-pre is
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the fixed parameters were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    observable = "p_of_n" if swept == "n" else "mandel_q"
     result = runner.invoke(main, [
-        "sweep", "--var", "r", "--grid", "1,2", "--series", "s",
-        "--series-values", "0.5", "--observable", "mandel_q", "--delta", "nan",
+        "sweep", "--var", swept, "--grid", "0,1,2", "--series", "s",
+        "--series-values", "0,1", "--observable", observable, flag, value,
     ])
     assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--r", "-1"], "coherent modulus must be >= 0"),
+    (["--s", "-1"], "coupling strength must be >= 0"),
+], ids=["negative-r", "negative-s"])
+def test_state_rejects_bad_parameter_before_any_computation(runner, monkeypatch, args, message):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the parameters were checked")
+
+    monkeypatch.setattr(experiments, "evaluate_point", refuse)
+    result = runner.invoke(main, ["state"] + args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+# --max-dim is gone (fock.DIM_CAP is the only cap): every value is a usage error
 def test_state_rejects_excessive_max_dim(runner):
     result = runner.invoke(main, ["state", "--r", "1", "--max-dim", "8192"])
     assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 @pytest.mark.parametrize("max_dim", ["1", "0", "-5"])
 def test_state_rejects_max_dim_below_two(runner, max_dim):
     result = runner.invoke(main, ["state", "--r", "1", "--max-dim", max_dim])
     assert result.exit_code == 2
-    assert "at least 2" in result.output
+    assert "No such option" in result.output
 
 
 def test_state_rejects_angle_divided_by_zero(runner):
@@ -437,6 +470,22 @@ def test_check_quick_passes(runner):
         assert f"PASS {name}" in result.output
 
 
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, quick):
+    # eq4 chooses no dimension; every other check raises at its first choice
+    def refuse(*_args):
+        raise errors.ConvergenceError("stub cap")
+
+    monkeypatch.setattr(fock, "adaptive_dim", refuse)
+    result = runner.invoke(main, ["check"] + (["--quick"] if quick else []))
+    assert result.exit_code == 1
+    failed = ["check_q_pairing", "check_s_pairing", "check_trends"]
+    failed += [] if quick else ["check_oracle_grid"]
+    assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL {name}: raised ConvergenceError: stub cap" for name in failed]
+    assert "PASS two-branch-unitary-identity" in result.stdout
+
+
 def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch):
     # 50 001 grid points pass the per-range cap; times three series they do not
     def refuse(*_args, **_kwargs):
@@ -453,7 +502,7 @@ def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch)
 
 # ---------------------------------------------------------------- config keys
 
-CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "max_dim", "format", "out"}
+CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "format", "out"}
 
 COMMANDS = {
     "state": ["state", "--r", "2", "--theta", "pi/9", "--phi-pre", "pi/3", "--s", "0.1"],
@@ -476,8 +525,6 @@ def run_isolated(runner, tmp_path, args, config=None):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("key,value,other", [
-    ("max_dim", "40", "4096"),
-    ("max-dim", "40", "4096"),
     ("format", "json", "csv"),
     ("out", "from_config.txt", "from_flag.txt"),
 ])
@@ -513,24 +560,32 @@ def test_config_accepts_exactly_the_option_keys(runner, tmp_path, monkeypatch, c
             assert exit_code == 2 and f"unknown config key {normalized!r}" in output, key
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("source", ["flag", "config"])
+#: settings that are constants now: the truncation tolerance fock.TAIL_TOL
+#: and the dimension cap fock.DIM_CAP; the tol cases keep their first ids
+REMOVED_OPTIONS = {"tol": "1e-9", "max_dim": "40"}
+
+
+@pytest.mark.parametrize("option,source,command", [
+    pytest.param(option, source, command,
+                 id="-".join(([] if option == "tol" else [option]) + [source, command]))
+    for option in REMOVED_OPTIONS for source in ("flag", "config") for command in sorted(COMMANDS)
+])
 def test_tol_is_a_usage_error_before_any_computation(
-    runner, tmp_path, monkeypatch, command, source
+    runner, tmp_path, monkeypatch, option, source, command
 ):
-    # the truncation tolerance is the constant fock.TAIL_TOL, set by no option
     def refuse(*_args, **_kwargs):
         raise AssertionError("computed before the arguments were checked")
 
     monkeypatch.setattr(cli, "run_sweep", refuse)
     monkeypatch.setattr(experiments, "evaluate_point", refuse)
-    config = tmp_path / "tol.conf"
-    config.write_text("tol=1e-9\n")
-    extra = ["--tol", "1e-9"] if source == "flag" else ["--config", str(config)]
+    config = tmp_path / "removed.conf"
+    config.write_text(f"{option}={REMOVED_OPTIONS[option]}\n")
+    extra = ["--" + option.replace("_", "-"), REMOVED_OPTIONS[option]] if source == "flag" \
+        else ["--config", str(config)]
     result = runner.invoke(main, COMMANDS[command] + extra + ["--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    expected = "No such option" if source == "flag" else "unknown config key 'tol'"
+    expected = "No such option" if source == "flag" else f"unknown config key {option!r}"
     assert expected in result.output
     assert not (tmp_path / "o").exists()
 
@@ -541,8 +596,9 @@ FUZZ_VALUES = st.sampled_from(
     ["nan", "inf", "-inf", "1e400", "5e-324", "pi/0", "0.9999pi", "", "abc", "1e3"]
 ) | st.floats().map(repr)
 PARAM_FLAGS = ("--r", "--theta", "--delta", "--phi-pre", "--s", "--phi-quad")
-TRUNCATION_FLAGS = ("--max-dim", "--format")
-# every accepted key but out (which writes a file), a dashed alias and an unknown key
+#: --max-dim and the key max-dim are removed; any input with them must exit 2
+COMMON_FLAGS = ("--max-dim", "--format")
+# every accepted key but out (which writes a file) and two unknown keys
 FUZZ_KEYS = tuple(sorted(CONFIG_KEYS - {"out"})) + ("max-dim", "wavelength")
 
 
@@ -551,10 +607,10 @@ def cli_inputs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     if command == "figure":
         args = ["figure", draw(st.sampled_from(experiments.FIGURE_IDS)), "--out", "fig.out"]
-        flags = TRUNCATION_FLAGS
+        flags = COMMON_FLAGS
     else:
         args = [command]
-        flags = PARAM_FLAGS + TRUNCATION_FLAGS
+        flags = PARAM_FLAGS + COMMON_FLAGS
     if command == "sweep":
         small_grid = st.lists(FUZZ_VALUES, min_size=1, max_size=3).map(",".join)
         args += ["--var", draw(st.sampled_from(experiments.SWEPT_VARIABLES)),
@@ -586,4 +642,6 @@ def test_cli_fuzz_exits_with_a_documented_code(inputs):
             args = args + ["--config", "run.conf"]
         result = runner.invoke(main, args)
     assert result.exit_code in (0, 2, 3), (args, lines, result.output)
+    if "--max-dim" in args or any(line.startswith("max-dim=") for line in lines or ()):
+        assert result.exit_code == 2, (args, lines, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, lines)

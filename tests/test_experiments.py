@@ -108,10 +108,10 @@ def test_threads_from_environment(monkeypatch):
 
 
 def test_error_rows_instead_of_abort():
-    # r = 4 with s = 2 needs dim 116; capping at 64 fails that series only
+    # r = 60 needs dim 4220, past fock.DIM_CAP; that point fails alone
     spec = SweepSpec(
-        swept="r", grid=(0.5, 4.0), series="s", series_values=(2.0,),
-        fixed=ParamSet(phi_pre=PI / 9), observable="mandel_q", max_dim=64,
+        swept="r", grid=(0.5, 60.0), series="s", series_values=(0.0,),
+        fixed=ParamSet(phi_pre=PI / 9), observable="mandel_q",
     )
     rows = run_sweep(spec).rows
     assert rows[0].status == "ok"
@@ -321,7 +321,7 @@ def comparable(rows):
 
 
 _PHI = st.sampled_from([0.0, -0.0, PI / 9, PI / 3, PI / 2, 0.9 * PI, 0.999 * PI, 0.9995 * PI, PI])
-_R = st.sampled_from([0.0, -0.0, 0.5, 2.0, 4.0, 99999.0, -1.0, math.nan])
+_R = st.sampled_from([0.0, -0.0, 0.5, 2.0, 4.0, 60.0, 99999.0, -1.0, math.nan])
 _S = st.sampled_from([0.0, -0.0, 0.1, 1.0, 2.5, -0.5, math.inf])
 _N = st.sampled_from([-3.0, -0.0, 0.0, 1.0, 2.4, 7.0, 25.0, 200.0, math.nan])
 _VALUES = {"phi_pre": _PHI, "r": _R, "s": _S, "n": _N}
@@ -348,7 +348,6 @@ def sweep_specs(draw):
     return SweepSpec(
         swept=swept, grid=values(swept), series=series, series_values=values(series),
         fixed=fixed, observable=observable,
-        max_dim=draw(st.sampled_from([fock.DIM_CAP, 60])),  # 60 fails at r = 4
     )
 
 
@@ -432,10 +431,42 @@ def test_evaluate_group_matches_evaluate_point():
 
 
 def test_evaluate_group_raises_selection_errors_before_pointer_errors():
+    # a bad selection raises when its ParamSet is built, before any group exists
     with pytest.raises(errors.UndefinedWeakValueError):
-        evaluate_group((ParamSet(r=99999.0), ParamSet(r=99999.0, phi_pre=PI)))
+        ParamSet(r=99999.0, phi_pre=PI)
     with pytest.raises(errors.ConvergenceError):
         evaluate_group((ParamSet(r=99999.0), ParamSet(r=99999.0, phi_pre=PI / 2)))
+
+
+@pytest.mark.parametrize("fields,error,message", [
+    ({"r": -1.0, "s": -1.0, "phi_pre": PI}, errors.UndefinedWeakValueError, "orthogonal"),
+    ({"r": -1.0, "s": -1.0, "phi_pre": 4.0}, errors.InvalidParameterError, "phi_pre must lie"),
+    ({"r": -1.0, "s": -1.0}, errors.InvalidParameterError, "coupling strength"),
+    ({"r": -1.0}, errors.InvalidParameterError, "coherent modulus"),
+    ({"r": -1.0, "s": -1.0, "phi_pre": PI, "phi_quad": math.nan},
+     errors.InvalidParameterError, "phi_quad must be finite"),
+], ids=["weak-value-undefined", "phi-pre-above-cap", "negative-s", "negative-r", "non-finite"])
+def test_param_set_reports_the_first_bad_input(fields, error, message):
+    # finiteness, then selection, then coupling, then amplitude
+    with pytest.raises(error, match=message):
+        ParamSet(**fields)
+
+
+def test_each_sweep_cell_builds_its_parts_once(monkeypatch):
+    # 2 couplings x 3 selections: six cells in two pointer groups
+    spec = SweepSpec(
+        swept="phi_pre", grid=(0.0, PI / 3, PI / 2), series="s", series_values=(0.5, 1.0),
+        fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
+    )
+    built = {name: 0 for name in ("SelectionConfig", "MeasurementConfig", "CoherentParams")}
+    for name in built:
+        def counted(*args, _name=name, _cls=getattr(experiments, name)):
+            built[_name] += 1
+            return _cls(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    result = run_sweep(spec)
+    assert [row.status for row in result.rows] == ["ok"] * 6
+    assert built == {name: 6 for name in built}
 
 
 def test_degenerate_selection_is_a_status_row_for_that_selection_only(monkeypatch):

@@ -301,7 +301,7 @@ def test_adaptive_dim_nondecreasing_in_s():
 
 def test_adaptive_dim_cap():
     with pytest.raises(errors.ConvergenceError):
-        adaptive_dim(CoherentParams(60.0), 0.0, cap=4096)
+        adaptive_dim(CoherentParams(60.0), 0.0)
 
 
 def test_adaptive_dim_huge_reach_hits_cap_before_overflow():
