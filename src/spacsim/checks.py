@@ -50,7 +50,7 @@ class CheckOutcome:
     detail: str
 
 
-def check_q_pairing() -> CheckOutcome:
+def check_q_pairing() -> tuple[bool, str]:
     """Numeric Mandel Q of the photon-added coherent state vs closed form."""
     worst = 0.0
     worst_at = ""
@@ -61,13 +61,13 @@ def check_q_pairing() -> CheckOutcome:
             diff = abs(observables.mandel_q(state) - observables.analytic_q_initial(alpha))
             if diff > worst:
                 worst, worst_at = diff, f"r={r}, theta={theta:.6g}"
-    return CheckOutcome(
-        "mandel-q-closed-form", worst <= PAIRING_TOL,
+    return (
+        worst <= PAIRING_TOL,
         f"max |numeric - analytic| = {worst:.3e} at {worst_at} (tol {PAIRING_TOL:.1e})",
     )
 
 
-def check_s_pairing() -> CheckOutcome:
+def check_s_pairing() -> tuple[bool, str]:
     """Numeric squeezing of the photon-added coherent state vs closed form."""
     worst = 0.0
     worst_at = ""
@@ -82,13 +82,13 @@ def check_s_pairing() -> CheckOutcome:
                 )
                 if diff > worst:
                     worst, worst_at = diff, f"r={r}, theta={theta:.6g}, phi={phi:.6g}"
-    return CheckOutcome(
-        "squeezing-closed-form", worst <= PAIRING_TOL,
+    return (
+        worst <= PAIRING_TOL,
         f"max |numeric - analytic| = {worst:.3e} at {worst_at} (tol {PAIRING_TOL:.1e})",
     )
 
 
-def check_eq4_identity() -> CheckOutcome:
+def check_eq4_identity() -> tuple[bool, str]:
     """Dense exponential of the coupling vs its two-branch decomposition."""
     half = EQ4_DIM // 2
     pointer_part = np.arange(2 * EQ4_DIM) % EQ4_DIM
@@ -100,13 +100,13 @@ def check_eq4_identity() -> CheckOutcome:
             - measurement.joint_unitary_branches(EQ4_DIM, s)
         )
         worst = max(worst, float(diff[mask].max()))
-    return CheckOutcome(
-        "two-branch-unitary-identity", worst <= EQ4_TOL,
+    return (
+        worst <= EQ4_TOL,
         f"max entry difference on retained blocks = {worst:.3e} (tol {EQ4_TOL:.1e})",
     )
 
 
-def check_oracle_grid() -> CheckOutcome:
+def check_oracle_grid() -> tuple[bool, str]:
     """Main-path conditioned state vs the joint-evolution oracle, 162 points."""
     selections = tuple(
         SelectionConfig(phi_pre, delta) for delta in ORACLE_DELTA for phi_pre in ORACLE_PHI
@@ -144,8 +144,8 @@ def check_oracle_grid() -> CheckOutcome:
         and worst_prob <= ORACLE_PROB_TOL
         and worst_beta <= BETA_TOL
     )
-    return CheckOutcome(
-        "oracle-equivalence-grid", passed,
+    return (
+        passed,
         f"max infidelity {worst_infid:.3e}, probability diff {worst_prob:.3e}, "
         f"beta diff {worst_beta:.3e}, worst at {worst_at}",
     )
@@ -240,27 +240,29 @@ def trend_assertions() -> list[CheckOutcome]:
     return outcomes
 
 
-def check_trends() -> CheckOutcome:
+def check_trends() -> tuple[bool, str]:
     outcomes = trend_assertions()
     failed = [o for o in outcomes if not o.passed]
     if failed:
         detail = "; ".join(f"{o.name}: {o.detail}" for o in failed)
     else:
         detail = f"all {len(outcomes)} assertions hold"
-    return CheckOutcome("trend-assertions", not failed, detail)
+    return not failed, detail
 
 
 def run_all(quick: bool = False) -> list[CheckOutcome]:
     """Every check, oracle grid last; ``quick`` skips the oracle grid.
 
-    A check that raises SpacsimError fails, with the error as its detail.
+    A check that raises SpacsimError fails under its name, with the error as its detail.
     """
+    table = (("mandel-q-closed-form", check_q_pairing), ("squeezing-closed-form", check_s_pairing),
+             ("two-branch-unitary-identity", check_eq4_identity),
+             ("trend-assertions", check_trends), ("oracle-equivalence-grid", check_oracle_grid))
     outcomes = []
-    for check in (check_q_pairing, check_s_pairing, check_eq4_identity, check_trends,
-                  *(() if quick else (check_oracle_grid,))):
+    for name, check in table[:-1] if quick else table:  # per call: wrapped check_* names run
         try:
-            outcomes.append(check())
+            passed, detail = check()
         except SpacsimError as exc:
-            detail = f"raised {type(exc).__name__}: {exc}"
-            outcomes.append(CheckOutcome(check.__name__, False, detail))
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        outcomes.append(CheckOutcome(name, passed, detail))
     return outcomes

@@ -22,7 +22,7 @@ from .measurement import MeasurementConfig, SelectionConfig
 SWEPT_VARIABLES = ("r", "s", "phi_pre", "n")
 SERIES_VARIABLES = ("r", "s", "phi_pre")
 OBSERVABLES = ("p_of_n", "mandel_q", "squeezing", "postselection_prob")
-GROUP_LIMIT = 256  #: most points one pair of branches serves in a sweep; bounds memory
+BATCH_AMPLITUDES = 1024  #: most pointers x padded width one sweep batch builds; bounds memory
 
 PI = math.pi
 
@@ -122,17 +122,20 @@ def evaluate_group(
     dim = fock.adaptive_dim(group[0].alpha, group[0].s)
     outcomes = measurement.postselected_pointer(
         group[0].alpha, dim, tuple(params.selection for params in group), group[0].coupling)
-    return [out if isinstance(out, SpacsimError) else
-            PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
+    return [out if isinstance(out, SpacsimError) else evaluate_point(params, (dim, out))
             for params, out in zip(group, outcomes)]
 
 
-def evaluate_point(params: ParamSet) -> PointResult:
-    """Build the pointer, couple, postselect; return the conditioned state."""
-    [point] = evaluate_group((params,))
-    if isinstance(point, SpacsimError):
-        raise point
-    return point
+def evaluate_point(params: ParamSet, built: tuple | None = None) -> PointResult:
+    """Build the pointer, couple, postselect, or take ``built`` (dim, outcome) from a batch."""
+    if built is None:
+        dim = fock.adaptive_dim(params.alpha, params.s)
+        built = dim, measurement.postselected_pointer(
+            params.alpha, dim, (params.selection,), params.coupling)[0]
+    dim, out = built
+    if isinstance(out, SpacsimError):
+        raise out
+    return PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
 
 
 def _value(spec: SweepSpec, point: PointResult, probs, x: float) -> tuple[float, float]:
@@ -172,33 +175,39 @@ def _point_rows(spec: SweepSpec, point, value: float, xs: tuple[float, ...]) -> 
 
 
 def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
-    """Evaluate a sweep once per shared pointer; failures become status rows, not aborts.
+    """Evaluate a sweep in batches of pointers; failures become status rows, not aborts.
 
-    Points that share (r, theta, s) go to evaluate_group together, at most
-    GROUP_LIMIT at a time (a lone point to evaluate_point), and a
-    photon-number series is one point for its whole grid.  Rows keep
-    series-major order; ``threads`` (and SPACS_THREADS) are accepted, with no effect.
+    Points that share (r, theta, s) share a pointer; a photon-number series is one point for
+    its whole grid.  One fock.displaced_spacs call builds a batch of at most BATCH_AMPLITUDES
+    pointers x largest dim (or one pointer), and each point becomes rows before the next.
+    Rows keep series-major order; ``threads`` (and SPACS_THREADS) are accepted, with no effect.
     """
     cells = [(value, xs) for value in spec.series_values
              for xs in ([spec.grid] if spec.swept == "n" else [(x,) for x in spec.grid])]
     rows: list[list[SweepRow] | None] = [None] * len(cells)
-    groups: dict[tuple[float, float, float], list[tuple[int, ParamSet]]] = {}
+    pointers: dict[tuple[int, CoherentParams, float], list[tuple[int, ParamSet]]] = {}
     for i, (value, xs) in enumerate(cells):
         swept = {} if spec.swept == "n" else {spec.swept: xs[0]}
         try:
             params = replace(spec.fixed, **{spec.series: value}, **swept)
+            key = (fock.adaptive_dim(params.alpha, params.s), params.alpha, params.s)
         except SpacsimError as exc:
             rows[i] = _point_rows(spec, exc, value, xs)
         else:
-            groups.setdefault((params.r, params.theta, params.s), []).append((i, params))
-    for members in map(groups.pop, list(groups)):  # releases each group once evaluated
-        for chunk in (members[k:k + GROUP_LIMIT] for k in range(0, len(members), GROUP_LIMIT)):
-            try:
-                points = [evaluate_point(chunk[0][1])] if len(chunk) == 1 \
-                    else evaluate_group(tuple(p for _, p in chunk))
-            except SpacsimError as exc:
-                points = [exc] * len(chunk)
-            for (i, _), point in zip(chunk, points):
+            pointers.setdefault(key, []).append((i, params))
+    batches = [[]]  # by rising dim, so a batch is as wide as its last pointer
+    for key in sorted(pointers, key=lambda key: key[0]):
+        if batches[-1] and (len(batches[-1]) + 1) * key[0] > BATCH_AMPLITUDES:
+            batches.append([])
+        batches[-1].append(key)
+    for batch in filter(None, batches):
+        dims, alphas, ss = zip(*batch)
+        (plus, minus), faults = fock.displaced_spacs(alphas, [(s / 2, -s / 2) for s in ss], dims)
+        for p, (dim, s, fault) in enumerate(zip(dims, ss, faults)):
+            for i, params in pointers.pop(batch[p]):  # releases each pointer's points
+                out = fault or measurement.branch_superposition(
+                    plus[p, :dim], minus[p, :dim], params.selection, s)
+                point = out if isinstance(out, SpacsimError) else evaluate_point(params, (dim, out))
                 rows[i] = _point_rows(spec, point, *cells[i])
     return SweepResult(spec=spec, rows=tuple(row for cell in rows for row in cell))
 

@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,6 +40,9 @@ DIM_CAP = 4096
 #: the truncation tolerance: the pre-normalization tail mass state
 #: constructors accept and the doubling change adaptive_dim certifies
 TAIL_TOL = 1e-9
+
+#: builds up to this width (every preset and check) share one cached _ladder
+_LADDER_WIDTH = 256
 
 
 def require_finite(**values: float) -> None:
@@ -96,7 +100,7 @@ class StateVector:
         _check_dim(amps.shape[0])
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        total = float(np.sum(np.abs(amps) ** 2))
+        total = float((np.abs(amps) ** 2).sum())
         if not abs(total - 1.0) <= 1e-12:  # also rejects nan
             raise InvalidParameterError(f"state is not normalized: sum |c_n|^2 = {total!r}")
 
@@ -110,40 +114,49 @@ def spacs_gamma_sq(mod_sq: float) -> float:
     return 1.0 / (1.0 + mod_sq)
 
 
-def _coherent_amplitudes(alpha: CoherentParams, dim: int) -> np.ndarray:
-    """Raw truncated amplitudes exp(-r^2/2) alpha^n / sqrt(n!), in log space."""
-    if alpha.r == 0.0:
-        amps = np.zeros(dim, dtype=np.complex128)
-        amps[0] = 1.0
+@lru_cache(maxsize=1)
+def _ladder(size: int) -> tuple[np.ndarray, ...]:
+    """n, i n, log(n!) / 2 and sqrt(n) for n < size: read-only tables, built on first use."""
+    n = np.arange(size, dtype=np.float64)
+    return tuple(np.frombuffer(t.tobytes(), t.dtype)  # read-only, as the cache shares them
+                 for t in (n, 1j * n, 0.5 * gammaln(n + 1.0), np.sqrt(n)))
+
+
+def _coherent_amplitudes(polar: Sequence[tuple[float, float]], width: int) -> np.ndarray:
+    """Raw amplitudes exp(-r^2/2) alpha^n / sqrt(n!), n < width, in log space, a row per
+    (r, theta) from per-row (rows, 1) scalar columns; an r = 0 row is the vacuum."""
+    vacuum = [k for k, (r, _) in enumerate(polar) if r == 0.0]
+    if len(vacuum) == len(polar):  # nothing to build in log space
+        amps = np.zeros((len(polar), width), dtype=np.complex128)
+        amps[:, 0] = 1.0
         return amps
-    n = np.arange(dim, dtype=np.float64)
-    logmag = -0.5 * alpha.r * alpha.r + n * math.log(alpha.r) - 0.5 * gammaln(n + 1.0)
-    return np.exp(logmag) * np.exp(1j * n * alpha.theta)
+    n, i_n, half_log_factorial, _ = _ladder(max(width, _LADDER_WIDTH))
+    row = np.array([(-0.5 * r * r, math.log(r) if r else 0.0, t) for r, t in polar])[..., None]
+    amps = np.exp(i_n[:width] * row[:, 2])
+    amps *= np.exp(row[:, 0] + n[:width] * row[:, 1] - half_log_factorial[:width])
+    if vacuum:
+        amps[vacuum] = np.eye(1, width)
+    return amps
 
 
 def _photon_added(raw: np.ndarray) -> np.ndarray:
-    """a_dag applied over the truncated basis: component n is sqrt(n) raw[n-1]."""
-    added = np.zeros_like(raw)
-    added[1:] = np.sqrt(np.arange(1, raw.shape[0], dtype=np.float64)) * raw[:-1]
+    """a_dag applied over the truncated basis: component n is sqrt(n) raw[n-1], per row."""
+    width, added = raw.shape[-1], np.zeros_like(raw)
+    np.multiply(_ladder(max(width, _LADDER_WIDTH))[3][1:width], raw[..., :-1], out=added[..., 1:])
     return added
 
 
-def _spacs_amplitudes(alpha: CoherentParams, dim: int) -> tuple[np.ndarray, float]:
-    """Truncated a_dag|alpha> before normalization, and its retained norm.
-
-    Raises TruncationError when the discarded share of the exact norm^2
-    1 + |alpha|^2 exceeds TAIL_TOL; that share never exceeds 1.
-    """
-    dim = _check_dim(dim)
-    added = _photon_added(_coherent_amplitudes(alpha, dim))
-    kept = float(np.sum(np.abs(added) ** 2))
-    tail = max(0.0, 1.0 - kept / (1.0 + alpha.mod_sq))
-    if tail > TAIL_TOL:
-        raise TruncationError(
+def _retained(alphas: Sequence[CoherentParams], dims: Sequence[int], added: np.ndarray) -> tuple:
+    """Each a_dag|alpha> row's norm over its own dim, and its TruncationError, else None."""
+    kept, faults = [], []
+    for alpha, dim, probs in zip(alphas, dims, np.abs(added) ** 2):
+        mass = float(probs[:dim].sum())
+        tail = max(0.0, 1.0 - mass / (1.0 + alpha.mod_sq))
+        kept.append(math.sqrt(mass) or 1.0)
+        faults.append(None if tail <= TAIL_TOL else TruncationError(
             f"photon-added coherent state r={alpha.r} keeps tail mass {tail:.3e} "
-            f"at dim={dim} (tolerance {TAIL_TOL:.3e})"
-        )
-    return added, math.sqrt(kept)
+            f"at dim={dim} (tolerance {TAIL_TOL:.3e})"))
+    return kept, faults
 
 
 def spacs_state(alpha: CoherentParams, dim: int) -> StateVector:
@@ -153,14 +166,18 @@ def spacs_state(alpha: CoherentParams, dim: int) -> StateVector:
     returned amplitudes are normalized numerically over the truncated
     basis, so that constant never enters the numerics.  c_0 = 0 always.
     """
-    added, kept_norm = _spacs_amplitudes(alpha, dim)
-    return StateVector(added / kept_norm)
+    added = _photon_added(_coherent_amplitudes([(alpha.r, alpha.theta)], _check_dim(dim)))
+    [kept_norm], [fault] = _retained([alpha], [dim], added)
+    if fault:
+        raise fault
+    return StateVector(added[0] / kept_norm)
 
 
 def displaced_spacs(
-    alpha: CoherentParams, shifts: tuple[complex, ...], dim: int
-) -> list[np.ndarray]:
-    """D(b)|Psi> for each b in shifts, with |Psi> = spacs_state(alpha, dim).
+    alphas: Sequence[CoherentParams], shifts: Sequence[tuple[complex, ...]], dims: Sequence[int]
+) -> tuple[np.ndarray, list[TruncationError | None]]:
+    """D(b)|Psi_p>, |Psi_p> = spacs_state(alphas[p], dims[p]), for the k-th b in shifts[p] at
+    [k, p] of a (shift, pointer, max(dims)) array zero past each dim; and each TruncationError.
 
     Closed form, O(dim) per shift and no displacement matrix:
     D(b) a_dag|alpha> = e^{(b alpha* - b* alpha)/2} (a_dag - b*)|alpha + b>,
@@ -170,21 +187,25 @@ def displaced_spacs(
     spacs_state divides by, so b = 0 returns the pointer's amplitudes
     exactly and the retained mass of a branch measures its truncation.
     """
-    added, kept_norm = _spacs_amplitudes(alpha, dim)
-    a = alpha.alpha
-    branches = []
-    for b in shifts:
-        b = complex(b)
-        if b == 0:
-            branches.append(added / kept_norm)
-            continue
-        beta = a + b
-        # math.atan2, not cmath.phase: the latter raises when the angle underflows
-        beta_polar = CoherentParams(abs(beta), math.atan2(beta.imag, beta.real))
-        raw = _coherent_amplitudes(beta_polar, added.shape[0])
-        phase = cmath.exp(1j * (b * a.conjugate()).imag)
-        branches.append(phase * (_photon_added(raw) - b.conjugate() * raw) / kept_norm)
-    return branches
+    dims, count, per = [_check_dim(dim) for dim in dims], len(alphas), len(shifts[0])
+    a = [alpha.alpha for alpha in alphas] * per
+    b = [complex(y) for kth in zip(*shifts) for y in kth]  # row k * count + p
+    # math.atan2, not cmath.phase: the latter raises when the angle underflows
+    raw = _coherent_amplitudes([(alpha.r, alpha.theta) for alpha in alphas] + [
+        (abs(z), math.atan2(z.imag, z.real) % TWO_PI) for z in map(complex.__add__, a, b)],
+        max(dims))
+    added = _photon_added(raw)
+    kept, faults = _retained(alphas, dims, added[:count])
+    row = np.array([(cmath.exp(1j * (y * x.conjugate()).imag), y.conjugate(), norm)
+                    for x, y, norm in zip(a, b, kept * per)])[..., None]
+    branches = np.subtract(added[count:], row[:, 1] * raw[count:], out=raw[count:])
+    np.multiply(row[:, 0], branches, out=branches)  # phase first: operand order sets the bytes
+    branches /= row[:, 2]
+    for k, y in enumerate(b):
+        if y == 0:  # D(0) leaves the pointer's own amplitudes
+            branches[k] = added[k % count] / kept[k % count]
+        branches[k, dims[k % count]:] = 0.0
+    return branches.reshape(per, count, -1), faults
 
 
 def _fill_displacement_band(out: np.ndarray, beta: complex, lower: bool) -> None:

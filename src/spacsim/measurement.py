@@ -9,13 +9,13 @@ pointer state is
 
     |Phi> ~ (1 + w) D(s/2)|Psi> + (1 - w) D(-s/2)|Psi>
 
-with w the weak value of sigma_x.  ``postselected_pointer`` is the one
-builder of that state: it takes the pointer's parameters (alpha and the
-Fock dimension) and selections, builds both displaced branches once in
-closed form in O(dim) (``fock.displaced_spacs``, no displacement matrix)
-for all selections, since only w depends on them, and superposes them as
-plain amplitude arrays.  Each selection gets one normalized StateVector
-and its exact postselection probability from the same superposition.
+with w the weak value of sigma_x.  Both displaced branches of a pointer
+are built once, in closed form in O(dim) (``fock.displaced_spacs``, no
+displacement matrix, one zero-padded row per pointer of a batch), for all
+of its selections, since only w depends on them; ``branch_superposition``
+then superposes them per selection into one normalized StateVector and
+its exact postselection probability.  ``postselected_pointer`` is that
+path for one pointer, and a sweep runs it for a batch of pointers.
 The closed-form normalization is kept as a cross-check, and an
 independent oracle evolves the full qubit (x) pointer space with the
 sparse ``expm_multiply`` for validation, at any dimension; it evolves
@@ -103,17 +103,18 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
     return math.cos(0.5 * sel.phi_pre) ** 2
 
 
-def branch_superposition(
-    alpha: CoherentParams, dim: int, ws: tuple[complex, ...], s: float
-) -> list[np.ndarray]:
-    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi> as an unnormalized amplitude
-    array, for each w in ws and the pointer |Psi> = spacs_state(alpha, dim).
-
-    Both branches come in closed form from one fock.displaced_spacs call,
-    which raises TruncationError as spacs_state does.
-    """
-    plus, minus = fock.displaced_spacs(alpha, (0.5 * s, -0.5 * s), dim)
-    return [(1.0 + w) * plus + (1.0 - w) * minus for w in ws]
+def branch_superposition(plus: np.ndarray, minus: np.ndarray, sel: SelectionConfig, s: float
+                         ) -> tuple[StateVector, float] | DegeneratePostselectionError:
+    """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, normalized, and its exact postselection
+    probability, for the weak value w of sel and a pointer's branches D(+-s/2)|Psi> from
+    fock.displaced_spacs cut to its dim; a DegeneratePostselectionError when they cancel."""
+    w = weak_value(sel)
+    amps = (1.0 + w) * plus + (1.0 - w) * minus
+    size = float(np.linalg.norm(amps))
+    if size < 1e-12 * ((abs(1.0 + w) + abs(1.0 - w)) or 1.0):
+        return DegeneratePostselectionError(
+            f"displaced branches cancel for weak value {w!r} at s={s}")
+    return StateVector(amps / size), naive_postselection_probability(sel) * 0.25 * size**2
 
 
 def postselected_pointer(
@@ -129,18 +130,10 @@ def postselected_pointer(
     cos^2(phi_pre/2) at s = 0.  All selections share one pair of branches;
     one whose branches cancel gets its DegeneratePostselectionError instead.
     """
-    ws = [weak_value(sel) for sel in selections]
-    superposed = branch_superposition(alpha, dim, ws, m.s)
-    results = []
-    for sel, w, amps in zip(selections, ws, superposed):
-        size = float(np.linalg.norm(amps))
-        if size < 1e-12 * ((abs(1.0 + w) + abs(1.0 - w)) or 1.0):
-            results.append(DegeneratePostselectionError(
-                f"displaced branches cancel for weak value {w!r} at s={m.s}"))
-        else:
-            results.append((StateVector(amps / size),
-                            naive_postselection_probability(sel) * 0.25 * size**2))
-    return results
+    (plus, minus), [fault] = fock.displaced_spacs([alpha], [(0.5 * m.s, -0.5 * m.s)], [dim])
+    if fault:
+        raise fault
+    return [branch_superposition(plus[0], minus[0], sel, m.s) for sel in selections]
 
 
 def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:

@@ -26,8 +26,8 @@ def photon_distribution(state: StateVector) -> np.ndarray:
 def distribution_moments(probs: np.ndarray) -> tuple[float, float]:
     """(mean, centered variance) of a photon-number distribution."""
     n = np.arange(probs.shape[0], dtype=np.float64)
-    mean = float(np.sum(n * probs))
-    var = float(np.sum((n - mean) ** 2 * probs))
+    mean = float((n * probs).sum())
+    var = float(((n - mean) ** 2 * probs).sum())
     return mean, var
 
 
@@ -89,4 +89,4 @@ def edge_tail_mass(state: StateVector) -> float:
     """
     probs = np.abs(state.amplitudes) ** 2
     start = int(math.ceil(0.9 * state.dim))
-    return float(np.sum(probs[start:]))
+    return float(probs[start:].sum())

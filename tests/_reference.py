@@ -92,7 +92,7 @@ def coherent_state(alpha: CoherentParams, dim: int) -> StateVector:
     Raises TruncationError when the discarded tail mass exceeds TAIL_TOL.
     """
     dim = _check_dim(dim)
-    raw = _coherent_amplitudes(alpha, dim)
+    [raw] = _coherent_amplitudes([(alpha.r, alpha.theta)], dim)
     kept = float(np.sum(np.abs(raw) ** 2))
     tail = max(0.0, 1.0 - kept)
     if tail > TAIL_TOL:
@@ -143,9 +143,9 @@ def _displaced_spacs_profile(alpha: CoherentParams, s: float, dim: int) -> tuple
     norm, as displaced_spacs gives it, but without that function's pointer
     tail check, which the dimensions below the start dimension fail.
     """
-    pointer = fock._photon_added(_coherent_amplitudes(alpha, dim))
+    [pointer] = fock._photon_added(_coherent_amplitudes([(alpha.r, alpha.theta)], dim))
     beta = alpha.alpha + s
-    raw = _coherent_amplitudes(CoherentParams(abs(beta), math.atan2(beta.imag, beta.real)), dim)
+    [raw] = _coherent_amplitudes([(abs(beta), math.atan2(beta.imag, beta.real) % fock.TWO_PI)], dim)
     probs = np.abs(fock._photon_added(raw) - s * raw) ** 2 / float(np.sum(np.abs(pointer) ** 2))
     mass = float(np.sum(probs))
     mean = float(np.sum(np.arange(dim) * probs)) / mass

@@ -109,12 +109,12 @@ def test_criterion_3_two_branch_identity():
 
 def test_criterion_4_oracle_grid():
     start = time.perf_counter()
-    outcome = checks.check_oracle_grid()
+    passed, detail = checks.check_oracle_grid()
     elapsed = time.perf_counter() - start
     report(
         "4 oracle-consistency-162-grid",
-        outcome.passed and elapsed < 60.0,
-        f"{outcome.detail}, {elapsed:.1f}s",
+        passed and elapsed < 60.0,
+        f"{detail}, {elapsed:.1f}s",
     )
 
 

@@ -13,7 +13,7 @@ def test_oracle_grid_evolves_each_pointer_once(monkeypatch):
         return oracle(pointer, selections, m)
 
     monkeypatch.setattr(measurement, "joint_evolution_project", counted)
-    assert checks.check_oracle_grid().passed
+    assert checks.check_oracle_grid()[0]
     assert calls == [6] * 27
 
 
@@ -30,7 +30,7 @@ def test_oracle_grid_builds_each_pointers_branches_once(monkeypatch):
 
     monkeypatch.setattr(measurement, "postselected_pointer", counted)
     monkeypatch.setattr(fock, "displaced_spacs", lambda *a: builds.append(a) or displaced(*a))
-    assert checks.check_oracle_grid().passed
+    assert checks.check_oracle_grid()[0]
     assert selections_per_call == [6] * 27
     assert len(builds) == 27
 

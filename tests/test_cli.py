@@ -479,8 +479,9 @@ def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, quick
     monkeypatch.setattr(fock, "adaptive_dim", refuse)
     result = runner.invoke(main, ["check"] + (["--quick"] if quick else []))
     assert result.exit_code == 1
-    failed = ["check_q_pairing", "check_s_pairing", "check_trends"]
-    failed += [] if quick else ["check_oracle_grid"]
+    # each under the name its passing line uses
+    failed = ["mandel-q-closed-form", "squeezing-closed-form", "trend-assertions"]
+    failed += [] if quick else ["oracle-equivalence-grid"]
     assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")] == [
         f"FAIL {name}: raised ConvergenceError: stub cap" for name in failed]
     assert "PASS two-branch-unitary-identity" in result.stdout

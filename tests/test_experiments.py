@@ -361,28 +361,50 @@ def sweep_specs(draw):
     swept="s", grid=(0.0, -0.0, 1.0, 1.0), series="phi_pre", series_values=(PI / 3, 0.0, PI / 3),
     fixed=ParamSet(r=2.0, theta=PI / 9), observable="mandel_q",
 ))
+@example(SweepSpec(  # one batch of mixed dims: r = 0 (dim 20) beside r = 4; s = 0 series;
+    # r = 60 fails adaptive_dim with ConvergenceError in its own cells only
+    swept="r", grid=(0.0, 4.0, 60.0, 2.0), series="s", series_values=(0.0, 0.5, 1.0),
+    fixed=ParamSet(theta=PI / 9, delta=PI / 4, phi_pre=PI / 3, phi_quad=PI / 2),
+    observable="squeezing",
+))
+@example(SweepSpec(  # photon numbers at and past dim 25 (r = 0, s = 0.5) beside r = 4
+    swept="n", grid=(0.0, 3.0, 24.0, 25.0, 200.0), series="r", series_values=(0.0, 4.0, 0.0),
+    fixed=ParamSet(theta=PI / 9, delta=PI / 4, phi_pre=PI / 3, s=0.5), observable="p_of_n",
+))
 def test_grouped_sweep_rows_equal_point_by_point_reference(spec):
     assert comparable(run_sweep(spec).rows) == comparable(point_by_point_sweep(spec).rows)
 
 
-@pytest.mark.parametrize("limit", [1, 3, experiments.GROUP_LIMIT])
+def record_builds(monkeypatch):
+    """The (alpha, shifts) of each pointer of each fock.displaced_spacs call, one list per batch."""
+    calls = []
+    displaced = fock.displaced_spacs
+    monkeypatch.setattr(fock, "displaced_spacs", lambda alphas, shifts, dims: calls.append(
+        list(zip(alphas, shifts, dims))) or displaced(alphas, shifts, dims))
+    return calls
+
+
+@pytest.mark.parametrize("limit", [1, 3, 256])
 def test_long_phi_pre_grids_build_one_branch_pair_per_chunk(monkeypatch, limit):
+    # two pointers (s = 0.5 at dim 51, s = 1 at dim 59) of seven selections each:
+    # a batch of at most `limit` pointers at the wider dim, and each pointer's
+    # branches built once in the one batch that holds it, however many selections
     spec = SweepSpec(
         swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 7)), series="s",
         series_values=(0.5, 1.0), fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
     )
     expected = comparable(point_by_point_sweep(spec).rows)
-    calls = []
-    displaced = fock.displaced_spacs
-    monkeypatch.setattr(experiments, "GROUP_LIMIT", limit)
-    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
+    monkeypatch.setattr(experiments, "BATCH_AMPLITUDES", limit * 59)
+    calls = record_builds(monkeypatch)
     assert comparable(run_sweep(spec).rows) == expected
-    assert len(calls) == 2 * math.ceil(7 / limit)
+    assert [len(pointers) for pointers in calls] == ([1, 1] if limit == 1 else [2])
+    assert sorted(shifts for pointers in calls for _, shifts, _ in pointers) == [
+        (0.25, -0.25), (0.5, -0.5)]
 
 
 def test_long_phi_pre_grid_holds_a_bounded_number_of_states():
     # 1000 selections share one pointer at dim 319: all their states at once
-    # peak above 10 MiB, GROUP_LIMIT of them at a time below 5 MiB
+    # peak above 10 MiB; a sweep holds one conditioned state at a time
     spec = SweepSpec(
         swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 1000)), series="s",
         series_values=(1.0,), fixed=ParamSet(r=12.0), observable="postselection_prob",
@@ -397,14 +419,41 @@ def test_long_phi_pre_grid_holds_a_bounded_number_of_states():
     assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("spec", [
+    SweepSpec(  # the high_r grid: 18 pointers at dims 671-1151
+        swept="r", grid=tuple(float(r) for r in range(20, 29)), series="s",
+        series_values=(0.5, 1.0), fixed=ParamSet(phi_pre=PI / 3, phi_quad=PI / 2),
+        observable="squeezing",
+    ),
+    SweepSpec(  # 1000 selections of one pointer at dim 319
+        swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 1000)), series="s",
+        series_values=(1.0,), fixed=ParamSet(r=12.0), observable="postselection_prob",
+    ),
+    SweepSpec(  # fig3a's 324 pointers at dims 20-139
+        swept="r", grid=experiments._R_GRID, series="s", series_values=experiments._S_SERIES,
+        fixed=ParamSet(theta=PI / 2, phi_pre=PI / 9, phi_quad=PI / 2), observable="squeezing",
+    ),
+], ids=["high-r", "long-phi-pre", "fig3a"])
+def test_sweep_batches_stay_within_the_amplitude_budget(monkeypatch, spec):
+    calls = record_builds(monkeypatch)
+    result = run_sweep(spec)
+    assert all(row.status == "ok" for row in result.rows)
+    built = [(alpha, shifts) for pointers in calls for alpha, shifts, _ in pointers]
+    assert len(built) == len(set(built))  # each pointer in one batch only
+    for pointers in calls:
+        width = max(dim for *_, dim in pointers)
+        assert len(pointers) * width <= experiments.BATCH_AMPLITUDES or len(pointers) == 1
+
+
 def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
-    # 81 r values x 4 phi_pre series at s = 1: the four selections share each pointer
-    calls = []
-    displaced = fock.displaced_spacs
-    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
+    # 81 r values x 4 phi_pre series at s = 1: the four selections share each
+    # pointer, whose branches are built once, in the one batch that holds it
+    calls = record_builds(monkeypatch)
     result = run_sweep(figure_preset("fig3b"))
     assert len(result.rows) == 324
-    assert len(calls) == 81
+    built = sorted(alpha.r for pointers in calls for alpha, _, _ in pointers)
+    assert built == sorted(figure_preset("fig3b").grid)
+    assert len(calls) > 1
 
 
 def test_fig3b_builds_one_state_per_conditioned_point(monkeypatch):
@@ -471,10 +520,11 @@ def test_each_sweep_cell_builds_its_parts_once(monkeypatch):
 
 def test_degenerate_selection_is_a_status_row_for_that_selection_only(monkeypatch):
     # no physical selection cancels the two branches, so stand-in branches
-    # v and -v make w = 0 cancel while w = 1 keeps 2v
+    # v and -v of the one pointer make w = 0 cancel while w = 1 keeps 2v
     alpha = CoherentParams(1.0)
     pointer = fock.spacs_state(alpha, fock.adaptive_dim(alpha, 0.1)).amplitudes
-    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: [pointer, -pointer])
+    monkeypatch.setattr(fock, "displaced_spacs",
+                        lambda *a: (np.array([[pointer], [-pointer]]), [None]))
     spec = SweepSpec(
         swept="r", grid=(1.0,), series="phi_pre", series_values=(0.0, PI / 2),
         fixed=ParamSet(s=0.1, phi_quad=PI / 2), observable="postselection_prob",

@@ -258,7 +258,7 @@ def test_displaced_spacs_matches_dense_displacement(r, theta, s, fraction, shift
     alpha = CoherentParams(r, theta)
     dim = adaptive_dim(alpha, s)
     b = fraction * s * np.exp(1j * shift_angle)
-    (closed,) = fock.displaced_spacs(alpha, (b,), dim)
+    [[closed]], _ = fock.displaced_spacs([alpha], [(b,)], [dim])
     dense = displacement_matrix(b, dim) @ spacs_state(alpha, dim).amplitudes
     assert np.max(np.abs(closed - dense)) <= 1e-12
 
@@ -266,7 +266,7 @@ def test_displaced_spacs_matches_dense_displacement(r, theta, s, fraction, shift
 def test_displaced_spacs_at_zero_shift_is_the_pointer():
     alpha = CoherentParams(2.0, 0.7)
     np.testing.assert_array_equal(
-        fock.displaced_spacs(alpha, (0.0,), 45)[0], spacs_state(alpha, 45).amplitudes
+        fock.displaced_spacs([alpha], [(0.0,)], [45])[0][0, 0], spacs_state(alpha, 45).amplitudes
     )
 
 
@@ -274,9 +274,24 @@ def test_displaced_spacs_through_the_vacuum():
     # alpha + b = 0 leaves (a_dag - b*)|0> for the closed form to build
     alpha = CoherentParams(0.75, 0.4)
     b = -alpha.alpha
-    (closed,) = fock.displaced_spacs(alpha, (b,), 30)
+    [[closed]], _ = fock.displaced_spacs([alpha], [(b,)], [30])
     dense = displacement_matrix(b, 30) @ spacs_state(alpha, 30).amplitudes
     assert np.max(np.abs(closed - dense)) <= 1e-12
+
+
+def test_displaced_spacs_batch_rows_equal_lone_builds():
+    # mixed dims, the vacuum, a zero shift and a truncated pointer in one batch:
+    # each row holds the bytes of its own one-pointer call, then exact zeros
+    alphas = [CoherentParams(0.0), CoherentParams(4.0, math.pi / 9), CoherentParams(2.0, 1.0),
+              CoherentParams(4.0)]
+    shifts, dims = [(0.5, -0.5), (0.0, 1j), (0.25, -0.25), (0.5, -0.5)], [20, 95, 44, 16]
+    batch, faults = fock.displaced_spacs(alphas, shifts, dims)
+    assert batch.shape == (2, 4, 95)
+    assert [type(fault) for fault in faults] == [type(None)] * 3 + [errors.TruncationError]
+    for p, (alpha, shift, dim) in enumerate(zip(alphas, shifts, dims)):
+        lone, _ = fock.displaced_spacs([alpha], [shift], [dim])
+        assert batch[:, p, :dim].tobytes() == lone[:, 0].tobytes()
+        assert not batch[:, p, dim:].any()
 
 
 # ---------------------------------------------------------------- adaptive dim
@@ -341,7 +356,8 @@ def test_truncation_tolerance_keeps_its_margin(r):
     alpha = CoherentParams(r)
     dim = adaptive_dim(alpha, 0.0)
     spacs_state(alpha, dim)
-    _, kept_norm = fock._spacs_amplitudes(alpha, dim)
+    added = fock._photon_added(fock._coherent_amplitudes([(r, 0.0)], dim))
+    [kept_norm], _ = fock._retained([alpha], [dim], added)
     assert 1.0 - kept_norm**2 / (1.0 + r * r) < fock.TAIL_TOL / 100
 
 

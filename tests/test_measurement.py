@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spacsim import errors, fock
+from spacsim import errors, fock, measurement
 from spacsim.checks import ORACLE_FIDELITY_TOL, ORACLE_PROB_TOL
 from spacsim.fock import CoherentParams, inner_product, spacs_state
 from spacsim.measurement import (
     MeasurementConfig,
     SelectionConfig,
     analytic_beta,
-    branch_superposition,
     joint_evolution_project,
     joint_unitary_branches,
     joint_unitary_dense,
@@ -250,7 +249,8 @@ def test_degenerate_selection_keeps_its_own_slot(monkeypatch):
     # cancel at w = 0 and give 2v at w = 1
     alpha = CoherentParams(1.0)
     pointer = spacs_state(alpha, 30).amplitudes
-    monkeypatch.setattr(fock, "displaced_spacs", lambda *args: [pointer, -pointer])
+    monkeypatch.setattr(fock, "displaced_spacs",
+                        lambda *args: (np.array([[pointer], [-pointer]]), [None]))
     kept, cancelled = postselected_pointer(
         alpha, 30, (SelectionConfig(PI / 2), SelectionConfig(0.0)), MeasurementConfig(0.1)
     )
@@ -260,12 +260,20 @@ def test_degenerate_selection_keeps_its_own_slot(monkeypatch):
     assert prob == pytest.approx(0.5 * 0.25 * 4.0, abs=1e-15)
 
 
+def test_no_selections_give_no_outcomes():
+    assert postselected_pointer(CoherentParams(1.0), 30, (), MeasurementConfig(0.1)) == []
+
+
 def test_branch_superposition_builds_the_branches_once(monkeypatch):
-    calls = []
-    displaced = fock.displaced_spacs
-    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: calls.append(a) or displaced(*a))
-    states = branch_superposition(CoherentParams(1.0), 40, (0.0, 1.0, 0.5j), 0.5)
-    assert len(states) == 3 and len(calls) == 1
+    # three selections of one pointer: one build, three superpositions of it
+    builds, superposed = [], []
+    displaced, superpose = fock.displaced_spacs, measurement.branch_superposition
+    monkeypatch.setattr(fock, "displaced_spacs", lambda *a: builds.append(a) or displaced(*a))
+    monkeypatch.setattr(measurement, "branch_superposition",
+                        lambda *a: superposed.append(a) or superpose(*a))
+    selections = (SelectionConfig(0.0), SelectionConfig(PI / 2), SelectionConfig(0.9, PI / 2))
+    outcomes = postselected_pointer(CoherentParams(1.0), 40, selections, MeasurementConfig(0.5))
+    assert len(outcomes) == 3 and len(builds) == 1 and len(superposed) == 3
 
 
 # ---------------------------------------------------------------- beta
@@ -285,8 +293,8 @@ def test_beta_matches_numeric_norm_reference_point():
     alpha = CoherentParams(2.0, PI / 9)
     dim = 90
     w = weak_value(SelectionConfig(PI / 3, PI / 4))
-    [superposed] = branch_superposition(alpha, dim, (w,), 0.5)
-    numeric = 1.0 / np.linalg.norm(superposed)
+    (plus, minus), _ = fock.displaced_spacs([alpha], [(0.25, -0.25)], [dim])
+    numeric = 1.0 / np.linalg.norm((1.0 + w) * plus[0] + (1.0 - w) * minus[0])
     assert analytic_beta(alpha, w, 0.5) == pytest.approx(numeric, abs=1e-8)
 
 
