@@ -31,7 +31,6 @@ from .experiments import (
 )
 from .fock import CoherentParams, StateVector, adaptive_dim, spacs_state
 from .measurement import (
-    MeasurementConfig,
     SelectionConfig,
     analytic_beta,
     branch_superposition,

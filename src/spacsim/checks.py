@@ -4,10 +4,11 @@ Three families: closed-form pairings (numeric observables of the
 photon-added coherent state against their analytic expressions), the
 oracle grid against the sparse ``expm_multiply`` joint evolution
 (conditioned state, postselection probability, and normalization
-constant; one evolution and one branch pair per pointer serve its six
-selections), and the five qualitative trend assertions, which read
-their numbers from the figure presets.  Every outcome, trend assertions
-included, is a ``CheckOutcome`` carrying its worst-case numbers.
+constant; one evolution and one ``postselected_pointer`` call per pointer
+serve its six selections), and the five qualitative trend assertions,
+which read their numbers from the figure presets.  Every outcome is a
+``CheckOutcome`` carrying its worst-case numbers; an error held in a
+conditioned-state slot is raised, and fails its check in ``run_all``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import experiments, fock, measurement, observables
 from .errors import SpacsimError
 from .fock import CoherentParams
-from .measurement import MeasurementConfig, SelectionConfig
+from .measurement import SelectionConfig
 
 PI = math.pi
 
@@ -120,12 +121,13 @@ def check_oracle_grid() -> tuple[bool, str]:
             alpha = CoherentParams(r, theta)
             for s in ORACLE_S:
                 dim = fock.adaptive_dim(alpha, s)
-                mconf = MeasurementConfig(s)
-                oracle = measurement.joint_evolution_project(
-                    fock.spacs_state(alpha, dim), selections, mconf
-                )
-                pairs = zip(oracle, measurement.postselected_pointer(alpha, dim, selections, mconf))
-                for sel, ((oracle_state, oracle_prob), (final, prob)) in zip(selections, pairs):
+                oracle = measurement.joint_evolution_project(fock.spacs_state(alpha, dim),
+                                                             selections, s)
+                outcomes = measurement.postselected_pointer([(alpha, dim, s, selections)])
+                for sel, (oracle_state, oracle_prob), out in zip(selections, oracle, outcomes):
+                    if isinstance(out, SpacsimError):
+                        raise out
+                    final, prob = out
                     w = measurement.weak_value(sel)
                     infid = 1.0 - abs(fock.inner_product(oracle_state, final))
                     prob_diff = abs(prob - oracle_prob)
@@ -172,8 +174,8 @@ def trend_assertions() -> list[CheckOutcome]:
 
     Assertions 3-5 read their numbers from run_sweep on the preset spec
     (fig2a and fig2b narrowed to r = 2); 1 and 2 need full distributions
-    and evaluate points directly, 2 as one group.  Each assertion reports
-    its computed numbers verbatim whether it passes or fails.
+    and evaluate points directly.  Each assertion reports its computed
+    numbers verbatim whether it passes or fails.
     """
     outcomes = []
 
@@ -194,9 +196,8 @@ def trend_assertions() -> list[CheckOutcome]:
         fig1b.fixed.alpha, fock.adaptive_dim(fig1b.fixed.alpha, fig1b.fixed.s))
     modal_n = int(np.argmax(observables.photon_distribution(initial)))
     peaks, variances1b = [], []
-    for point in experiments.evaluate_group(
-        tuple(replace(fig1b.fixed, phi_pre=phi_pre) for phi_pre in fig1b.series_values)
-    ):
+    for phi_pre in fig1b.series_values:
+        point = experiments.evaluate_point(replace(fig1b.fixed, phi_pre=phi_pre))
         probs = observables.photon_distribution(point.state)
         peaks.append(float(probs[modal_n]))
         variances1b.append(observables.distribution_moments(probs)[1])

@@ -2,9 +2,10 @@
 
 A sweep varies one of {r, s, phi_pre, n} over a grid while a second
 variable indexes the curve family, everything else held fixed.  Points
-that share a pointer are evaluated together, rows come out in
-series-major order, and a point that fails becomes a status row
-instead of aborting the sweep.
+that share a pointer are built together by measurement.postselected_pointer,
+the one builder of conditioned states, and each is then evaluated alone;
+rows come out in series-major order, and a point that fails becomes a
+status row instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -15,21 +16,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fock, measurement, observables
-from .errors import DegeneratePostselectionError, InvalidParameterError, SpacsimError
+from .errors import InvalidParameterError, SpacsimError
 from .fock import CoherentParams, StateVector
-from .measurement import MeasurementConfig, SelectionConfig
+from .measurement import SelectionConfig
 
 SWEPT_VARIABLES = ("r", "s", "phi_pre", "n")
 SERIES_VARIABLES = ("r", "s", "phi_pre")
 OBSERVABLES = ("p_of_n", "mandel_q", "squeezing", "postselection_prob")
-BATCH_AMPLITUDES = 1024  #: most pointers x padded width one sweep batch builds; bounds memory
 
 PI = math.pi
 
 
 @dataclass(frozen=True)
 class ParamSet:
-    """One checked parameter point; builds its selection, coupling and alpha in that order."""
+    """One checked parameter point: finiteness, then its selection, s and alpha, in that order."""
 
     r: float = 0.0
     theta: float = 0.0
@@ -38,13 +38,12 @@ class ParamSet:
     s: float = 0.0
     phi_quad: float = 0.0
     selection: SelectionConfig = field(init=False, repr=False, compare=False)
-    coupling: MeasurementConfig = field(init=False, repr=False, compare=False)
     alpha: CoherentParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fock.require_finite(**vars(self))
         object.__setattr__(self, "selection", SelectionConfig(self.phi_pre, self.delta))
-        object.__setattr__(self, "coupling", MeasurementConfig(self.s))
+        fock.check_coupling(self.s)
         object.__setattr__(self, "alpha", CoherentParams(self.r, self.theta))
 
 
@@ -111,27 +110,13 @@ class PointResult:
     tail_mass: float
 
 
-def evaluate_group(
-    group: tuple[ParamSet, ...],
-) -> list[PointResult | DegeneratePostselectionError]:
-    """Evaluate points that share (r, theta, s) from one pair of displaced branches.
-
-    A selection whose branches cancel gets its DegeneratePostselectionError
-    in its slot; a pointer error (truncation, cap) raises for the group.
-    """
-    dim = fock.adaptive_dim(group[0].alpha, group[0].s)
-    outcomes = measurement.postselected_pointer(
-        group[0].alpha, dim, tuple(params.selection for params in group), group[0].coupling)
-    return [out if isinstance(out, SpacsimError) else evaluate_point(params, (dim, out))
-            for params, out in zip(group, outcomes)]
-
-
 def evaluate_point(params: ParamSet, built: tuple | None = None) -> PointResult:
-    """Build the pointer, couple, postselect, or take ``built`` (dim, outcome) from a batch."""
+    """Build the point as a batch of one, or take ``built`` (dim, outcome) from a batch."""
     if built is None:
         dim = fock.adaptive_dim(params.alpha, params.s)
-        built = dim, measurement.postselected_pointer(
-            params.alpha, dim, (params.selection,), params.coupling)[0]
+        [out] = measurement.postselected_pointer(
+            [(params.alpha, dim, params.s, (params.selection,))])
+        built = dim, out
     dim, out = built
     if isinstance(out, SpacsimError):
         raise out
@@ -178,37 +163,31 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     """Evaluate a sweep in batches of pointers; failures become status rows, not aborts.
 
     Points that share (r, theta, s) share a pointer; a photon-number series is one point for
-    its whole grid.  One fock.displaced_spacs call builds a batch of at most BATCH_AMPLITUDES
-    pointers x largest dim (or one pointer), and each point becomes rows before the next.
+    its whole grid.  measurement.postselected_pointer builds the pointers by rising dim, and
+    each point becomes rows before the next outcome is built.
     Rows keep series-major order; ``threads`` (and SPACS_THREADS) are accepted, with no effect.
     """
     cells = [(value, xs) for value in spec.series_values
              for xs in ([spec.grid] if spec.swept == "n" else [(x,) for x in spec.grid])]
     rows: list[list[SweepRow] | None] = [None] * len(cells)
-    pointers: dict[tuple[int, CoherentParams, float], list[tuple[int, ParamSet]]] = {}
+    pointers: dict[tuple[CoherentParams, int, float], list[tuple[int, ParamSet]]] = {}
     for i, (value, xs) in enumerate(cells):
         swept = {} if spec.swept == "n" else {spec.swept: xs[0]}
         try:
             params = replace(spec.fixed, **{spec.series: value}, **swept)
-            key = (fock.adaptive_dim(params.alpha, params.s), params.alpha, params.s)
+            key = (params.alpha, fock.adaptive_dim(params.alpha, params.s), params.s)
         except SpacsimError as exc:
             rows[i] = _point_rows(spec, exc, value, xs)
         else:
             pointers.setdefault(key, []).append((i, params))
-    batches = [[]]  # by rising dim, so a batch is as wide as its last pointer
-    for key in sorted(pointers, key=lambda key: key[0]):
-        if batches[-1] and (len(batches[-1]) + 1) * key[0] > BATCH_AMPLITUDES:
-            batches.append([])
-        batches[-1].append(key)
-    for batch in filter(None, batches):
-        dims, alphas, ss = zip(*batch)
-        (plus, minus), faults = fock.displaced_spacs(alphas, [(s / 2, -s / 2) for s in ss], dims)
-        for p, (dim, s, fault) in enumerate(zip(dims, ss, faults)):
-            for i, params in pointers.pop(batch[p]):  # releases each pointer's points
-                out = fault or measurement.branch_superposition(
-                    plus[p, :dim], minus[p, :dim], params.selection, s)
-                point = out if isinstance(out, SpacsimError) else evaluate_point(params, (dim, out))
-                rows[i] = _point_rows(spec, point, *cells[i])
+    order = sorted(pointers, key=lambda key: key[1])
+    outcomes = measurement.postselected_pointer(
+        [(*key, tuple(params.selection for _, params in pointers[key])) for key in order])
+    for key in order:
+        for i, params in pointers.pop(key):  # releases each pointer's points
+            out = next(outcomes)
+            point = out if isinstance(out, SpacsimError) else evaluate_point(params, (key[1], out))
+            rows[i] = _point_rows(spec, point, *cells[i])
     return SweepResult(spec=spec, rows=tuple(row for cell in rows for row in cell))
 
 

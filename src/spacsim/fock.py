@@ -52,6 +52,13 @@ def require_finite(**values: float) -> None:
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
+def check_coupling(s: float) -> None:
+    """Raise InvalidParameterError unless the coupling strength s is finite and >= 0."""
+    if not 0.0 <= s < math.inf:
+        require_finite(s=s)
+        raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
+
+
 def _check_dim(dim: int) -> int:
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise InvalidDimensionError(f"Fock dimension must be an integer >= 2, got {dim!r}")
@@ -285,9 +292,7 @@ def adaptive_dim(alpha: CoherentParams, s: float) -> int:
     2t / (1 - 2t).  P is the Chernoff bound e^{-lam} (e lam / k)^k, valid for
     k > lam, which the start dimension ensures.
     """
-    require_finite(s=s)
-    if s < 0:
-        raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
+    check_coupling(s)
     reach = alpha.r + s
     dim = int(math.floor(min(reach * reach + 10.0 * reach + 20.0, DIM_CAP + 1)))
     if dim > DIM_CAP or _doubling_bound(reach, s, dim) > 0.5 * TAIL_TOL:

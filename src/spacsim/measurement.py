@@ -9,13 +9,13 @@ pointer state is
 
     |Phi> ~ (1 + w) D(s/2)|Psi> + (1 - w) D(-s/2)|Psi>
 
-with w the weak value of sigma_x.  Both displaced branches of a pointer
-are built once, in closed form in O(dim) (``fock.displaced_spacs``, no
-displacement matrix, one zero-padded row per pointer of a batch), for all
-of its selections, since only w depends on them; ``branch_superposition``
-then superposes them per selection into one normalized StateVector and
-its exact postselection probability.  ``postselected_pointer`` is that
-path for one pointer, and a sweep runs it for a batch of pointers.
+with w the weak value of sigma_x.  ``postselected_pointer`` is the one
+builder of that state: it builds both displaced branches of a pointer once
+for all its selections, since only w depends on them, in closed form in
+O(dim) and in batches of pointers (``fock.displaced_spacs``, no
+displacement matrix); ``branch_superposition`` then superposes them per
+selection into one normalized StateVector and its exact postselection
+probability.  Sweeps, single points and the checks all go through it.
 The closed-form normalization is kept as a cross-check, and an
 independent oracle evolves the full qubit (x) pointer space with the
 sparse ``expm_multiply`` for validation, at any dimension; it evolves
@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,6 +38,7 @@ from . import fock
 from .errors import (
     DegeneratePostselectionError,
     InvalidParameterError,
+    SpacsimError,
     UndefinedWeakValueError,
 )
 from .fock import CoherentParams, StateVector, displacement_matrix, require_finite
@@ -44,6 +46,9 @@ from .fock import CoherentParams, StateVector, displacement_matrix, require_fini
 #: keeps the naive postselection probability representable and the
 #: branch cancellations benign
 PHI_PRE_CAP = 0.999 * math.pi
+
+#: most pointers x padded width one fock.displaced_spacs call builds; bounds memory
+BATCH_AMPLITUDES = 1024
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -81,18 +86,6 @@ class SelectionConfig:
         )
 
 
-@dataclass(frozen=True)
-class MeasurementConfig:
-    """Coupling strength s = g/sigma."""
-
-    s: float
-
-    def __post_init__(self):
-        require_finite(s=self.s)
-        if self.s < 0:
-            raise InvalidParameterError(f"coupling strength must be >= 0, got {self.s}")
-
-
 def weak_value(sel: SelectionConfig) -> complex:
     """Weak value of sigma_x: e^{i delta} tan(phi_pre / 2)."""
     return cmath.exp(1j * sel.delta) * math.tan(0.5 * sel.phi_pre)
@@ -118,22 +111,32 @@ def branch_superposition(plus: np.ndarray, minus: np.ndarray, sel: SelectionConf
 
 
 def postselected_pointer(
-    alpha: CoherentParams, dim: int, selections: tuple[SelectionConfig, ...], m: MeasurementConfig
-) -> list[tuple[StateVector, float] | DegeneratePostselectionError]:
+    pointers: Sequence[tuple[CoherentParams, int, float, tuple[SelectionConfig, ...]]],
+) -> Iterator[tuple[StateVector, float] | SpacsimError]:
     """Conditioned pointer state and exact postselection probability per selection.
 
-    The pointer is the photon-added coherent state a_dag|alpha> on a
-    dim-dimensional basis, held to fock.TAIL_TOL exactly as
-    spacs_state(alpha, dim) holds it (TruncationError otherwise); at
-    s = 0 each returned state is that pointer.  The
-    probability ||(<psi_f| (x) I) U |psi_i>|Psi>||^2 reduces to
-    cos^2(phi_pre/2) at s = 0.  All selections share one pair of branches;
-    one whose branches cancel gets its DegeneratePostselectionError instead.
+    A pointer (alpha, dim, s, selections) is a_dag|alpha> on dim Fock states, held to
+    fock.TAIL_TOL as spacs_state(alpha, dim) holds it, coupled with strength s (at s = 0 each
+    state is the pointer and its probability cos^2(phi_pre/2)).  Pointers go, in input order,
+    into fock.displaced_spacs batches of at most BATCH_AMPLITUDES pointers x largest dim (or
+    one pointer).  Outcomes are yielded lazily, one per selection in input order, so one
+    conditioned state is held at a time; a slot holds its pointer's TruncationError, or its
+    own DegeneratePostselectionError when the branches cancel, instead.
     """
-    (plus, minus), [fault] = fock.displaced_spacs([alpha], [(0.5 * m.s, -0.5 * m.s)], [dim])
-    if fault:
-        raise fault
-    return [branch_superposition(plus[0], minus[0], sel, m.s) for sel in selections]
+    batches, width = [[]], 0
+    for pointer in pointers:
+        fock.check_coupling(pointer[2])
+        width = max(width, pointer[1])
+        if batches[-1] and (len(batches[-1]) + 1) * width > BATCH_AMPLITUDES:
+            batches.append([])
+            width = pointer[1]
+        batches[-1].append(pointer)
+    for batch in filter(None, batches):
+        alphas, dims, ss, selections = zip(*batch)
+        (plus, minus), faults = fock.displaced_spacs(alphas, [(s / 2, -s / 2) for s in ss], dims)
+        for p, (dim, s, fault, sels) in enumerate(zip(dims, ss, faults, selections)):
+            for sel in sels:
+                yield fault or branch_superposition(plus[p, :dim], minus[p, :dim], sel, s)
 
 
 def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
@@ -145,8 +148,7 @@ def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
     (1 + (alpha* + s)(alpha - s)), and |1+w|^2 + |1-w|^2 = 2(1 + |w|^2)
     supplies the leading 1/sqrt(2).
     """
-    if s < 0:
-        raise InvalidParameterError(f"coupling strength must be >= 0, got {s}")
+    fock.check_coupling(s)
     a = alpha.alpha
     overlap = (
         fock.spacs_gamma_sq(alpha.mod_sq)
@@ -180,7 +182,7 @@ def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
 
 
 def joint_evolution_project(
-    pointer: StateVector, selections: tuple[SelectionConfig, ...], m: MeasurementConfig
+    pointer: StateVector, selections: tuple[SelectionConfig, ...], s: float
 ) -> list[tuple[StateVector, float]]:
     """Independent oracle: sparse joint evolution, then projection onto |H>.
 
@@ -212,7 +214,7 @@ def joint_evolution_project(
     root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
     # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
     momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
-    generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
+    generator = sparse.kron(SIGMA_X, -1j * s * momentum, format="csr")
     rng_state = np.random.get_state()
     try:  # columns |H> (x) |pointer> and |V> (x) |pointer>
         joint = expm_multiply(generator, np.kron(np.eye(2), pointer.amplitudes[:, None]))
@@ -223,6 +225,6 @@ def joint_evolution_project(
     probabilities = [float(np.vdot(v, v).real) for v in projected]
     if any(p < 1e-24 for p in probabilities):
         raise DegeneratePostselectionError(
-            f"oracle postselection probability vanished at s={m.s}"
+            f"oracle postselection probability vanished at s={s}"
         )
     return [(StateVector(v / math.sqrt(p)), p) for v, p in zip(projected, probabilities)]

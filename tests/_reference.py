@@ -41,7 +41,7 @@ from spacsim.fock import (
     _coherent_amplitudes,
     require_finite,
 )
-from spacsim.measurement import SIGMA_X, MeasurementConfig, SelectionConfig
+from spacsim.measurement import SIGMA_X, SelectionConfig
 
 
 def ladder_ops(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +190,7 @@ def complex_joint_unitary_dense(dim: int, s: float) -> np.ndarray:
 
 
 def single_selection_oracle(
-    pointer: StateVector, sel: SelectionConfig, m: MeasurementConfig
+    pointer: StateVector, sel: SelectionConfig, s: float
 ) -> tuple[StateVector, float]:
     """Sparse joint evolution of |psi_i> (x) |pointer>, then projection onto |H>.
 
@@ -205,7 +205,7 @@ def single_selection_oracle(
     root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
     # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
     momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
-    generator = sparse.kron(SIGMA_X, -1j * m.s * momentum, format="csr")
+    generator = sparse.kron(SIGMA_X, -1j * s * momentum, format="csr")
     rng_state = np.random.get_state()
     try:
         joint = expm_multiply(generator, np.kron(sel.preselected, pointer.amplitudes))
@@ -215,7 +215,7 @@ def single_selection_oracle(
     probability = float(np.vdot(block, block).real)
     if probability < 1e-24:
         raise DegeneratePostselectionError(
-            f"oracle postselection probability vanished at s={m.s}"
+            f"oracle postselection probability vanished at s={s}"
         )
     projected = StateVector(block / math.sqrt(probability))
     return projected, probability

@@ -8,9 +8,9 @@ def test_oracle_grid_evolves_each_pointer_once(monkeypatch):
     calls = []
     oracle = measurement.joint_evolution_project
 
-    def counted(pointer, selections, m):
+    def counted(pointer, selections, s):
         calls.append(len(selections))
-        return oracle(pointer, selections, m)
+        return oracle(pointer, selections, s)
 
     monkeypatch.setattr(measurement, "joint_evolution_project", counted)
     assert checks.check_oracle_grid()[0]
@@ -18,20 +18,20 @@ def test_oracle_grid_evolves_each_pointer_once(monkeypatch):
 
 
 def test_oracle_grid_builds_each_pointers_branches_once(monkeypatch):
-    # the main path serves the six selections from one pair of displaced branches
+    # one builder call per pointer serves its six selections from one pair of branches
     selections_per_call = []
     builds = []
     pointer = measurement.postselected_pointer
     displaced = fock.displaced_spacs
 
-    def counted(alpha, dim, selections, m):
-        selections_per_call.append(len(selections))
-        return pointer(alpha, dim, selections, m)
+    def counted(pointers):
+        selections_per_call.append([len(selections) for *_, selections in pointers])
+        return pointer(pointers)
 
     monkeypatch.setattr(measurement, "postselected_pointer", counted)
     monkeypatch.setattr(fock, "displaced_spacs", lambda *a: builds.append(a) or displaced(*a))
     assert checks.check_oracle_grid()[0]
-    assert selections_per_call == [6] * 27
+    assert selections_per_call == [[6]] * 27
     assert len(builds) == 27
 
 

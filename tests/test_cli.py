@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from spacsim import cli, errors, experiments, fock
+from spacsim import cli, errors, experiments, fock, measurement
 from spacsim.cli import main, parse_angle
 
 PI = math.pi
@@ -485,6 +485,21 @@ def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, quick
     assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")] == [
         f"FAIL {name}: raised ConvergenceError: stub cap" for name in failed]
     assert "PASS two-branch-unitary-identity" in result.stdout
+
+
+def test_check_reports_a_cancelled_selection_as_fail_lines(runner, monkeypatch):
+    # no physical selection cancels its branches, so every superposition stands in
+    # as cancelled: each check that reads a conditioned state fails, none crashes
+    def cancel(_plus, _minus, _sel, s):
+        return errors.DegeneratePostselectionError(f"stub cancel at s={s}")
+
+    monkeypatch.setattr(measurement, "branch_superposition", cancel)
+    result = runner.invoke(main, ["check"])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL")]
+    assert [line.split(": raised DegeneratePostselectionError: stub cancel")[0]
+            for line in failed] == ["FAIL trend-assertions", "FAIL oracle-equivalence-grid"]
+    assert "Traceback" not in result.output
 
 
 def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch):

@@ -11,13 +11,12 @@ from spacsim.experiments import (
     FIGURE_IDS,
     ParamSet,
     SweepSpec,
-    evaluate_group,
     evaluate_point,
     figure_preset,
     run_sweep,
 )
 from spacsim.fock import CoherentParams
-from spacsim.measurement import MeasurementConfig, SelectionConfig
+from spacsim.measurement import SelectionConfig
 from spacsim.observables import analytic_q_initial, analytic_s_initial, squeezing
 
 from _reference import point_by_point_sweep
@@ -133,7 +132,7 @@ def test_non_finite_parameters_rejected(field, value):
         "theta": lambda: CoherentParams(1.0, value),
         "delta": lambda: SelectionConfig(0.0, value),
         "phi_pre": lambda: SelectionConfig(value),
-        "s": lambda: MeasurementConfig(value),
+        "s": lambda: fock.adaptive_dim(CoherentParams(1.0), value),
     }
     if field in library_types:
         with pytest.raises(errors.InvalidParameterError, match=field):
@@ -394,7 +393,7 @@ def test_long_phi_pre_grids_build_one_branch_pair_per_chunk(monkeypatch, limit):
         series_values=(0.5, 1.0), fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
     )
     expected = comparable(point_by_point_sweep(spec).rows)
-    monkeypatch.setattr(experiments, "BATCH_AMPLITUDES", limit * 59)
+    monkeypatch.setattr(measurement, "BATCH_AMPLITUDES", limit * 59)
     calls = record_builds(monkeypatch)
     assert comparable(run_sweep(spec).rows) == expected
     assert [len(pointers) for pointers in calls] == ([1, 1] if limit == 1 else [2])
@@ -442,7 +441,7 @@ def test_sweep_batches_stay_within_the_amplitude_budget(monkeypatch, spec):
     assert len(built) == len(set(built))  # each pointer in one batch only
     for pointers in calls:
         width = max(dim for *_, dim in pointers)
-        assert len(pointers) * width <= experiments.BATCH_AMPLITUDES or len(pointers) == 1
+        assert len(pointers) * width <= measurement.BATCH_AMPLITUDES or len(pointers) == 1
 
 
 def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
@@ -466,27 +465,6 @@ def test_fig3b_builds_one_state_per_conditioned_point(monkeypatch):
     assert len(built) == 324
 
 
-def test_evaluate_group_matches_evaluate_point():
-    base = ParamSet(r=2.0, theta=PI / 9, delta=PI / 4, s=0.5, phi_quad=PI / 2)
-    group = tuple(replace(base, phi_pre=phi) for phi in (0.0, PI / 3, PI / 3, 0.9 * PI))
-    for grouped, params in zip(evaluate_group(group), group):
-        single = evaluate_point(params)
-        assert grouped.params == params and grouped.dim == single.dim
-        assert measurement.weak_value(grouped.params.selection) == \
-            measurement.weak_value(single.params.selection)
-        assert grouped.true_prob == single.true_prob
-        assert grouped.tail_mass == single.tail_mass
-        np.testing.assert_array_equal(grouped.state.amplitudes, single.state.amplitudes)
-
-
-def test_evaluate_group_raises_selection_errors_before_pointer_errors():
-    # a bad selection raises when its ParamSet is built, before any group exists
-    with pytest.raises(errors.UndefinedWeakValueError):
-        ParamSet(r=99999.0, phi_pre=PI)
-    with pytest.raises(errors.ConvergenceError):
-        evaluate_group((ParamSet(r=99999.0), ParamSet(r=99999.0, phi_pre=PI / 2)))
-
-
 @pytest.mark.parametrize("fields,error,message", [
     ({"r": -1.0, "s": -1.0, "phi_pre": PI}, errors.UndefinedWeakValueError, "orthogonal"),
     ({"r": -1.0, "s": -1.0, "phi_pre": 4.0}, errors.InvalidParameterError, "phi_pre must lie"),
@@ -507,7 +485,7 @@ def test_each_sweep_cell_builds_its_parts_once(monkeypatch):
         swept="phi_pre", grid=(0.0, PI / 3, PI / 2), series="s", series_values=(0.5, 1.0),
         fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
     )
-    built = {name: 0 for name in ("SelectionConfig", "MeasurementConfig", "CoherentParams")}
+    built = {name: 0 for name in ("SelectionConfig", "CoherentParams")}
     for name in built:
         def counted(*args, _name=name, _cls=getattr(experiments, name)):
             built[_name] += 1

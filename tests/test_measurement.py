@@ -9,7 +9,6 @@ from spacsim import errors, fock, measurement
 from spacsim.checks import ORACLE_FIDELITY_TOL, ORACLE_PROB_TOL
 from spacsim.fock import CoherentParams, inner_product, spacs_state
 from spacsim.measurement import (
-    MeasurementConfig,
     SelectionConfig,
     analytic_beta,
     joint_evolution_project,
@@ -37,6 +36,11 @@ def fidelity(a, b) -> float:
 def selection_for(w: complex) -> SelectionConfig:
     """Selection whose weak value e^{i delta} tan(phi_pre/2) equals w."""
     return SelectionConfig(2 * math.atan(abs(w)), cmath.phase(w))
+
+
+def pointer_outcomes(alpha, dim, selections, s) -> list:
+    """postselected_pointer's outcomes for one pointer, one per selection."""
+    return list(postselected_pointer([(alpha, dim, s, selections)]))
 
 
 def weak_value_2x2(phi_pre: float, delta: float) -> complex:
@@ -96,9 +100,16 @@ def test_selection_caps_phi_pre():
         SelectionConfig(0.9999 * PI)
 
 
-def test_measurement_config_rejects_negative_strength():
-    with pytest.raises(errors.InvalidParameterError):
-        MeasurementConfig(-0.5)
+def test_coupling_check_rejects_negative_strength():
+    # the one check on s, shared by adaptive_dim, analytic_beta and the builder
+    alpha = CoherentParams(1.0)
+    for check in (fock.check_coupling, lambda s: fock.adaptive_dim(alpha, s),
+                  lambda s: analytic_beta(alpha, 0.5, s),
+                  lambda s: pointer_outcomes(alpha, 30, (SelectionConfig(0.0),), s)):
+        with pytest.raises(errors.InvalidParameterError,
+                           match=r"^coupling strength must be >= 0, got -0\.5$"):
+            check(-0.5)
+    fock.check_coupling(0.0)
 
 
 # ---------------------------------------------------- postselection probability
@@ -119,9 +130,7 @@ def test_naive_probability_near_orthogonal():
 def test_true_probability_reduces_to_naive_at_s_zero():
     sel = SelectionConfig(PI / 3, PI / 4)
     naive = naive_postselection_probability(sel)
-    [(_, true)] = postselected_pointer(
-        CoherentParams(2.0, PI / 9), 60, (sel,), MeasurementConfig(0.0)
-    )
+    [(_, true)] = pointer_outcomes(CoherentParams(2.0, PI / 9), 60, (sel,), 0.0)
     assert true == pytest.approx(naive, abs=1e-14)
 
 
@@ -129,11 +138,9 @@ def test_true_probability_frozen_values():
     # frozen from the dense-oracle run at dim 120/160
     alpha = CoherentParams(2.0, PI / 9)
     sel = SelectionConfig(PI / 3, PI / 4)
-    [(_, p_half)] = postselected_pointer(alpha, 90, (sel,), MeasurementConfig(0.5))
+    [(_, p_half)] = pointer_outcomes(alpha, 90, (sel,), 0.5)
     assert p_half == pytest.approx(0.83423152942618839, abs=1e-9)
-    [(_, p_flat)] = postselected_pointer(
-        alpha, 90, (SelectionConfig(0.0, 0.0),), MeasurementConfig(1.0)
-    )
+    [(_, p_flat)] = pointer_outcomes(alpha, 90, (SelectionConfig(0.0, 0.0),), 1.0)
     assert p_flat == pytest.approx(0.46756600857048475, abs=1e-9)
     assert 0.0 < p_flat <= 1.0
 
@@ -142,9 +149,9 @@ def test_true_probability_matches_oracle():
     alpha = CoherentParams(2.0, PI / 9)
     pointer = spacs_state(alpha, 90)
     sel = SelectionConfig(PI / 3, PI / 4)
-    mconf = MeasurementConfig(0.1)
-    [(_, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
-    [(_, prob)] = postselected_pointer(alpha, 90, (sel,), mconf)
+    s = 0.1
+    [(_, oracle_prob)] = joint_evolution_project(pointer, (sel,), s)
+    [(_, prob)] = pointer_outcomes(alpha, 90, (sel,), s)
     assert prob == pytest.approx(oracle_prob, abs=1e-12)
 
 
@@ -153,9 +160,7 @@ def test_true_probability_matches_oracle():
 def test_final_state_unchanged_at_s_zero():
     alpha = CoherentParams(1.3, 0.4)
     pointer = spacs_state(alpha, 40)
-    [(final, _)] = postselected_pointer(
-        alpha, 40, (selection_for(0.7 + 0.1j),), MeasurementConfig(0.0)
-    )
+    [(final, _)] = pointer_outcomes(alpha, 40, (selection_for(0.7 + 0.1j),), 0.0)
     np.testing.assert_allclose(final.amplitudes, pointer.amplitudes, atol=1e-14)
 
 
@@ -163,7 +168,7 @@ def test_final_state_single_branch_at_unit_weak_value():
     dim = 60
     alpha = CoherentParams(1.5)
     pointer = spacs_state(alpha, dim)
-    [(final, _)] = postselected_pointer(alpha, dim, (selection_for(1.0),), MeasurementConfig(0.8))
+    [(final, _)] = pointer_outcomes(alpha, dim, (selection_for(1.0),), 0.8)
     displaced = normalize(apply(fock.displacement_matrix(0.4, dim), pointer))
     assert fidelity(final, displaced) > 1 - 1e-12
 
@@ -171,22 +176,21 @@ def test_final_state_single_branch_at_unit_weak_value():
 def test_final_state_rejects_invalid_dimension():
     for dim in (0, 1):
         with pytest.raises(errors.InvalidDimensionError):
-            postselected_pointer(
-                CoherentParams(1.0), dim, (selection_for(0.0),), MeasurementConfig(0.1)
-            )
+            pointer_outcomes(CoherentParams(1.0), dim, (selection_for(0.0),), 0.1)
 
 
 def test_final_state_enforces_pointer_tail_check():
-    # the same threshold and error as spacs_state(alpha, dim)
+    # the same threshold and error as spacs_state(alpha, dim), held in the slot
     # (tail mass 6.5e-5 at r = 2, dim = 16, above fock.TAIL_TOL)
     alpha = CoherentParams(2.0)
-    with pytest.raises(errors.TruncationError):
+    with pytest.raises(errors.TruncationError, match="dim=16"):
         spacs_state(alpha, 16)
-    with pytest.raises(errors.TruncationError):
-        postselected_pointer(alpha, 16, (selection_for(0.5),), MeasurementConfig(0.1))
+    [fault] = pointer_outcomes(alpha, 16, (selection_for(0.5),), 0.1)
+    assert isinstance(fault, errors.TruncationError) and "dim=16" in str(fault)
     dim = fock.adaptive_dim(alpha, 0.1)
     spacs_state(alpha, dim)
-    postselected_pointer(alpha, dim, (selection_for(0.5),), MeasurementConfig(0.1))
+    [(state, _)] = pointer_outcomes(alpha, dim, (selection_for(0.5),), 0.1)
+    assert state.dim == dim
 
 
 def test_final_state_matches_oracle_reference_point():
@@ -194,9 +198,9 @@ def test_final_state_matches_oracle_reference_point():
     alpha = CoherentParams(2.0, PI / 9)
     pointer = spacs_state(alpha, dim)
     sel = SelectionConfig(PI / 3, PI / 4)
-    mconf = MeasurementConfig(0.5)
-    [(final, _)] = postselected_pointer(alpha, dim, (sel,), mconf)
-    [(oracle_state, _)] = joint_evolution_project(pointer, (sel,), mconf)
+    s = 0.5
+    [(final, _)] = pointer_outcomes(alpha, dim, (sel,), s)
+    [(oracle_state, _)] = joint_evolution_project(pointer, (sel,), s)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
 
@@ -204,16 +208,14 @@ def test_small_coupling_continuity():
     dim = 50
     alpha = CoherentParams(1.2, 0.3)
     pointer = spacs_state(alpha, dim)
-    [(final, _)] = postselected_pointer(alpha, dim, (selection_for(0.5),), MeasurementConfig(1e-6))
+    [(final, _)] = pointer_outcomes(alpha, dim, (selection_for(0.5),), 1e-6)
     assert fidelity(final, pointer) > 1 - 1e-10
 
 
 def test_final_state_normalized_for_large_weak_values():
     dim = 70
     sel = SelectionConfig(0.99 * PI, 0.6)
-    [(final, _)] = postselected_pointer(
-        CoherentParams(1.0, 0.2), dim, (sel,), MeasurementConfig(1.5)
-    )
+    [(final, _)] = pointer_outcomes(CoherentParams(1.0, 0.2), dim, (sel,), 1.5)
     assert abs(np.linalg.norm(final.amplitudes) - 1.0) < 1e-12
 
 
@@ -235,11 +237,10 @@ def test_batched_pointer_matches_one_selection_at_a_time(r, theta, s, angles):
     alpha = CoherentParams(r, theta)
     dim = fock.adaptive_dim(alpha, s)
     selections = tuple(SelectionConfig(phi_pre, delta) for phi_pre, delta in angles)
-    mconf = MeasurementConfig(s)
-    batched = postselected_pointer(alpha, dim, selections, mconf)
+    batched = pointer_outcomes(alpha, dim, selections, s)
     assert len(batched) == len(selections)
     for sel, (state, prob) in zip(selections, batched):
-        [(ref_state, ref_prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
+        [(ref_state, ref_prob)] = pointer_outcomes(alpha, dim, (sel,), s)
         np.testing.assert_array_equal(state.amplitudes, ref_state.amplitudes)
         assert prob == ref_prob
 
@@ -251,9 +252,8 @@ def test_degenerate_selection_keeps_its_own_slot(monkeypatch):
     pointer = spacs_state(alpha, 30).amplitudes
     monkeypatch.setattr(fock, "displaced_spacs",
                         lambda *args: (np.array([[pointer], [-pointer]]), [None]))
-    kept, cancelled = postselected_pointer(
-        alpha, 30, (SelectionConfig(PI / 2), SelectionConfig(0.0)), MeasurementConfig(0.1)
-    )
+    kept, cancelled = pointer_outcomes(
+        alpha, 30, (SelectionConfig(PI / 2), SelectionConfig(0.0)), 0.1)
     assert isinstance(cancelled, errors.DegeneratePostselectionError)
     state, prob = kept
     np.testing.assert_allclose(state.amplitudes, pointer, atol=1e-15)
@@ -261,7 +261,38 @@ def test_degenerate_selection_keeps_its_own_slot(monkeypatch):
 
 
 def test_no_selections_give_no_outcomes():
-    assert postselected_pointer(CoherentParams(1.0), 30, (), MeasurementConfig(0.1)) == []
+    assert pointer_outcomes(CoherentParams(1.0), 30, (), 0.1) == []
+
+
+@pytest.mark.parametrize("budget,batches", [
+    (1, [[20], [95], [44], [16], [30]]),
+    (2 * 95, [[20, 95], [44, 16, 30]]),
+    (1024, [[20, 95, 44, 16, 30]]),
+])
+def test_mixed_pointer_batch_equals_batches_of_one(monkeypatch, budget, batches):
+    # the vacuum, dims 95 then 44 (falling), a pointer truncated at dim 16 with
+    # two selections and one with none: each batch within the budget, or one
+    # pointer, and every outcome the bytes of its own batch-of-one call
+    two = (SelectionConfig(PI / 3, PI / 4), SelectionConfig(0.9 * PI, 1.0))
+    pointers = [(CoherentParams(0.0), 20, 0.5, two[:1]), (CoherentParams(4.0, PI / 9), 95, 1.0, two),
+                (CoherentParams(2.0, 1.0), 44, 0.5, two), (CoherentParams(4.0), 16, 0.5, two),
+                (CoherentParams(1.0), 30, 0.1, ())]
+    lone = [pointer_outcomes(alpha, dim, (sel,), s) for alpha, dim, s, sels in pointers
+            for sel in sels]
+    built, displaced = [], fock.displaced_spacs
+    monkeypatch.setattr(measurement, "BATCH_AMPLITUDES", budget)
+    monkeypatch.setattr(fock, "displaced_spacs",
+                        lambda alphas, shifts, dims: built.append(list(dims)) or displaced(
+                            alphas, shifts, dims))
+    outcomes = list(postselected_pointer(pointers))
+    assert built == batches
+    assert all(len(dims) * max(dims) <= budget or len(dims) == 1 for dims in built)
+    assert len(outcomes) == len(lone) == 7
+    truncated = outcomes[5:]
+    assert all(isinstance(out, errors.TruncationError) for out in truncated)
+    assert truncated[0] is truncated[1] and "dim=16" in str(truncated[0])
+    for out, [ref] in zip(outcomes[:5], lone):
+        assert out[0].amplitudes.tobytes() == ref[0].amplitudes.tobytes() and out[1] == ref[1]
 
 
 def test_branch_superposition_builds_the_branches_once(monkeypatch):
@@ -272,7 +303,7 @@ def test_branch_superposition_builds_the_branches_once(monkeypatch):
     monkeypatch.setattr(measurement, "branch_superposition",
                         lambda *a: superposed.append(a) or superpose(*a))
     selections = (SelectionConfig(0.0), SelectionConfig(PI / 2), SelectionConfig(0.9, PI / 2))
-    outcomes = postselected_pointer(CoherentParams(1.0), 40, selections, MeasurementConfig(0.5))
+    outcomes = pointer_outcomes(CoherentParams(1.0), 40, selections, 0.5)
     assert len(outcomes) == 3 and len(builds) == 1 and len(superposed) == 3
 
 
@@ -318,7 +349,7 @@ def test_beta_positive_and_finite(r, theta, phi_pre, delta, s):
 def test_oracle_identity_at_s_zero():
     pointer = spacs_state(CoherentParams(1.1, 0.5), 40)
     sel = SelectionConfig(PI / 3, PI / 5)
-    [(state, prob)] = joint_evolution_project(pointer, (sel,), MeasurementConfig(0.0))
+    [(state, prob)] = joint_evolution_project(pointer, (sel,), 0.0)
     assert prob == pytest.approx(naive_postselection_probability(sel), abs=1e-12)
     assert fidelity(state, pointer) > 1 - 1e-12
 
@@ -362,11 +393,10 @@ def test_batched_oracle_matches_single_selection_reference(r, theta, s, angles):
     alpha = CoherentParams(r, theta)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, s))
     selections = tuple(SelectionConfig(phi_pre, delta) for phi_pre, delta in angles)
-    mconf = MeasurementConfig(s)
-    batched = joint_evolution_project(pointer, selections, mconf)
+    batched = joint_evolution_project(pointer, selections, s)
     assert len(batched) == len(selections)
     for sel, (state, prob) in zip(selections, batched):
-        ref_state, ref_prob = single_selection_oracle(pointer, sel, mconf)
+        ref_state, ref_prob = single_selection_oracle(pointer, sel, s)
         assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) <= 1e-13
         assert abs(prob - ref_prob) <= 1e-13
 
@@ -383,9 +413,7 @@ def test_batched_oracle_rejects_degenerate_selection():
             return np.array([0.0, 1.0], dtype=np.complex128)
 
     with pytest.raises(errors.DegeneratePostselectionError):
-        joint_evolution_project(
-            pointer, (SelectionConfig(PI / 3), Orthogonal(0.0)), MeasurementConfig(0.0)
-        )
+        joint_evolution_project(pointer, (SelectionConfig(PI / 3), Orthogonal(0.0)), 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -402,11 +430,8 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
     alpha = CoherentParams(r, theta)
     dim = fock.adaptive_dim(alpha, s)
     sel = SelectionConfig(phi_pre, delta)
-    mconf = MeasurementConfig(s)
-    [(final, prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
-    [(oracle_state, oracle_prob)] = joint_evolution_project(
-        spacs_state(alpha, dim), (sel,), mconf
-    )
+    [(final, prob)] = pointer_outcomes(alpha, dim, (sel,), s)
+    [(oracle_state, oracle_prob)] = joint_evolution_project(spacs_state(alpha, dim), (sel,), s)
     assert 1.0 - fidelity(final, oracle_state) <= ORACLE_FIDELITY_TOL
     assert abs(prob - oracle_prob) <= ORACLE_PROB_TOL
 
@@ -417,7 +442,7 @@ def test_oracle_leaves_global_rng_untouched():
     alpha = CoherentParams(28.0)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, 3.0))
     before = np.random.get_state()
-    joint_evolution_project(pointer, (SelectionConfig(PI / 3),), MeasurementConfig(3.0))
+    joint_evolution_project(pointer, (SelectionConfig(PI / 3),), 3.0)
     after = np.random.get_state()
     assert pointer.dim == 1291
     assert before[0] == after[0] and before[2:] == after[2:]
@@ -435,8 +460,7 @@ def test_oracle_agreement_small_grid():
         dim = fock.adaptive_dim(alpha, s)
         pointer = spacs_state(alpha, dim)
         sel = SelectionConfig(phi_pre, delta)
-        mconf = MeasurementConfig(s)
-        [(final, prob)] = postselected_pointer(alpha, dim, (sel,), mconf)
-        [(oracle_state, oracle_prob)] = joint_evolution_project(pointer, (sel,), mconf)
+        [(final, prob)] = pointer_outcomes(alpha, dim, (sel,), s)
+        [(oracle_state, oracle_prob)] = joint_evolution_project(pointer, (sel,), s)
         assert fidelity(final, oracle_state) > 1 - 1e-9
         assert prob == pytest.approx(oracle_prob, abs=1e-9)

@@ -45,6 +45,23 @@ def test_every_public_function_has_a_caller_in_src():
     assert unused == []
 
 
+def test_branches_are_built_only_by_postselected_pointer():
+    # one builder of conditioned states: outside their own definitions, the
+    # branch builders are referenced only inside measurement.postselected_pointer
+    builders = {"displaced_spacs", "branch_superposition"}
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            if (path.name, owner) == ("measurement.py", "postselected_pointer"):
+                continue
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in builders:
+                    stray.append(f"{path.stem}.{owner}:{node.lineno} {name}")
+    assert stray == []
+
+
 def test_benchmark_per_layer_names_resolve():
     # the traced benchmark reports a declared name as absent once its
     # function is renamed or removed, and a new check_* as undeclared
