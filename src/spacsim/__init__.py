@@ -22,7 +22,6 @@ from .errors import (
 from .experiments import (
     ParamSet,
     PointResult,
-    SweepResult,
     SweepRow,
     SweepSpec,
     evaluate_point,

@@ -209,7 +209,7 @@ def trend_assertions() -> list[CheckOutcome]:
     ))
 
     fig2a = replace(experiments.figure_preset("fig2a"), grid=(2.0,))
-    qs_vs_s = [row.value for row in experiments.run_sweep(fig2a).rows]
+    qs_vs_s = [row.value for row in experiments.run_sweep(fig2a)]
     outcomes.append(CheckOutcome(
         "sub-poissonianity-attenuates-with-s",
         _strictly(qs_vs_s, increasing=True),
@@ -217,7 +217,7 @@ def trend_assertions() -> list[CheckOutcome]:
     ))
 
     fig2b = replace(experiments.figure_preset("fig2b"), grid=(2.0,))
-    qs_vs_w = [row.value for row in experiments.run_sweep(fig2b).rows]
+    qs_vs_w = [row.value for row in experiments.run_sweep(fig2b)]
     outcomes.append(CheckOutcome(
         "sub-poissonianity-grows-with-weak-value",
         _strictly(qs_vs_w, increasing=False),
@@ -228,7 +228,7 @@ def trend_assertions() -> list[CheckOutcome]:
     s_initial = observables.analytic_s_initial(fig4a.fixed.alpha, fig4a.fixed.phi_quad)
     best = (float("inf"), 0.0, 0.0)  # (S, phi_pre, s)
     points = itertools.product(fig4a.series_values, fig4a.grid)  # series-major, as the rows
-    for (phi_pre, s), row in zip(points, experiments.run_sweep(fig4a).rows):
+    for (phi_pre, s), row in zip(points, experiments.run_sweep(fig4a)):
         if s != 0.0 and row.value < best[0]:
             best = (row.value, phi_pre, s)
     outcomes.append(CheckOutcome(

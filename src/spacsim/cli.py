@@ -33,6 +33,9 @@ _PI_PATTERN = re.compile(
 #: also most points a start:stop:step range may expand to
 MAX_GRID_POINTS = 100_000
 
+#: what ``figure`` reports about every preset's grids
+_PRESET_NOTE = "series grid and x grid are package defaults, not caption values"
+
 #: keys a ``--config`` file may set: option names, ``-`` or ``_`` alike
 _CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "format", "out")
 
@@ -174,7 +177,7 @@ def state(out, fmt, **flags):
         "mandel_q": observables.mandel_q(point.state),
         "squeezing": observables.squeezing(point.state, params.phi_quad),
         "tail_mass": point.tail_mass,
-        "dim": point.dim,
+        "dim": point.state.dim,
     }
     _emit(serialize.render(fmt, serialize.STATE_COLUMNS, [record]), out)
 
@@ -223,9 +226,9 @@ def sweep(swept, grid, series, series_values, observable, out, fmt, **flags):
         raise click.UsageError(
             f"sweep asks for {len(grid_v) * len(series_v)} rows; at most {MAX_GRID_POINTS}"
         )
-    result = run_sweep(SweepSpec(swept=swept, grid=grid_v, series=series, series_values=series_v,
-                                 fixed=fixed, observable=observable))
-    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), out)
+    rows = run_sweep(SweepSpec(swept=swept, grid=grid_v, series=series, series_values=series_v,
+                               fixed=fixed, observable=observable))
+    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(rows)), out)
 
 
 @main.command()
@@ -233,13 +236,12 @@ def sweep(swept, grid, series, series_values, observable, out, fmt, **flags):
 @_common_options
 def figure(fig_id, out, fmt):
     """Run a bundled figure preset and write its rows to a file."""
-    spec = figure_preset(fig_id)
-    result = run_sweep(spec)
+    rows = run_sweep(figure_preset(fig_id))
     target = out if out is not None else f"{fig_id}.{fmt}"
-    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(result)), target)
-    notes = "; ".join(f"{key}: {value}" for key, value in spec.metadata)
-    click.echo(f"{fig_id}: {len(result.rows)} rows -> {target}")
-    click.echo(f"max tail mass {result.max_tail_mass:.3e}; {notes}")
+    _emit(serialize.render(fmt, serialize.SWEEP_COLUMNS, serialize.sweep_rows(rows)), target)
+    max_tail = max((row.tail_mass for row in rows if row.status == "ok"), default=math.nan)
+    click.echo(f"{fig_id}: {len(rows)} rows -> {target}")
+    click.echo(f"max tail mass {max_tail:.3e}; preset: {fig_id}; note: {_PRESET_NOTE}")
 
 
 @main.command()

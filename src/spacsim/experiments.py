@@ -4,8 +4,8 @@ A sweep varies one of {r, s, phi_pre, n} over a grid while a second
 variable indexes the curve family, everything else held fixed.  Points
 that share a pointer are built together by measurement.postselected_pointer,
 the one builder of conditioned states, and each is then evaluated alone;
-rows come out in series-major order, and a point that fails becomes a
-status row instead of aborting the sweep.
+run_sweep returns its rows in series-major order, and a point that fails
+becomes a status row instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class SweepSpec:
     series_values: tuple[float, ...]
     fixed: ParamSet
     observable: str
-    metadata: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if self.swept not in SWEPT_VARIABLES:
@@ -89,38 +88,23 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    rows: tuple[SweepRow, ...]
-
-    @property
-    def max_tail_mass(self) -> float:
-        tails = [row.tail_mass for row in self.rows if row.status == "ok"]
-        return max(tails) if tails else float("nan")
-
-
-@dataclass(frozen=True)
 class PointResult:
-    """Everything a single parameter point produces."""
+    """What a single parameter point produces beyond its parameters."""
 
-    params: ParamSet
-    dim: int
     true_prob: float
     state: StateVector
     tail_mass: float
 
 
-def evaluate_point(params: ParamSet, built: tuple | None = None) -> PointResult:
-    """Build the point as a batch of one, or take ``built`` (dim, outcome) from a batch."""
-    if built is None:
-        dim = fock.adaptive_dim(params.alpha, params.s)
+def evaluate_point(params: ParamSet, out=None) -> PointResult:
+    """Build the point as a batch of one, or take ``out``, the outcome a batch built for it."""
+    if out is None:
         [out] = measurement.postselected_pointer(
-            [(params.alpha, dim, params.s, (params.selection,))])
-        built = dim, out
-    dim, out = built
+            [(params.alpha, fock.adaptive_dim(params.alpha, params.s), params.s,
+              (params.selection,))])
     if isinstance(out, SpacsimError):
         raise out
-    return PointResult(params, dim, out[1], out[0], observables.edge_tail_mass(out[0]))
+    return PointResult(out[1], out[0], observables.edge_tail_mass(out[0]))
 
 
 def _value(spec: SweepSpec, point: PointResult, probs, x: float) -> tuple[float, float]:
@@ -128,14 +112,14 @@ def _value(spec: SweepSpec, point: PointResult, probs, x: float) -> tuple[float,
     if spec.observable == "mandel_q":
         return x, observables.mandel_q(point.state)
     if spec.observable == "squeezing":
-        return x, observables.squeezing(point.state, point.params.phi_quad)
+        return x, observables.squeezing(point.state, spec.fixed.phi_quad)
     if spec.observable == "postselection_prob":
         return x, point.true_prob
     fock.require_finite(n=x)
     n = int(round(x))
     if n < 0:
         raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
-    return float(n), float(probs[n]) if n < point.dim else 0.0
+    return float(n), float(probs[n]) if n < point.state.dim else 0.0
 
 
 def _error_row(label: str, x: float, exc: SpacsimError) -> SweepRow:
@@ -159,13 +143,12 @@ def _point_rows(spec: SweepSpec, point, value: float, xs: tuple[float, ...]) -> 
     return rows
 
 
-def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
-    """Evaluate a sweep in batches of pointers; failures become status rows, not aborts.
+def run_sweep(spec: SweepSpec) -> tuple[SweepRow, ...]:
+    """A sweep's rows in series-major order; failures become status rows, not aborts.
 
     Points that share (r, theta, s) share a pointer; a photon-number series is one point for
     its whole grid.  measurement.postselected_pointer builds the pointers by rising dim, and
     each point becomes rows before the next outcome is built.
-    Rows keep series-major order; ``threads`` (and SPACS_THREADS) are accepted, with no effect.
     """
     cells = [(value, xs) for value in spec.series_values
              for xs in ([spec.grid] if spec.swept == "n" else [(x,) for x in spec.grid])]
@@ -186,9 +169,9 @@ def run_sweep(spec: SweepSpec, threads: int | None = None) -> SweepResult:
     for key in order:
         for i, params in pointers.pop(key):  # releases each pointer's points
             out = next(outcomes)
-            point = out if isinstance(out, SpacsimError) else evaluate_point(params, (key[1], out))
+            point = out if isinstance(out, SpacsimError) else evaluate_point(params, out)
             rows[i] = _point_rows(spec, point, *cells[i])
-    return SweepResult(spec=spec, rows=tuple(row for cell in rows for row in cell))
+    return tuple(row for cell in rows for row in cell)
 
 
 _N_GRID = tuple(float(n) for n in range(26))
@@ -197,8 +180,6 @@ _S_GRID = tuple(np.linspace(0.0, 3.0, 61))
 _S_SERIES = (0.0, 0.5, 1.0, 2.0)
 _PHI_SERIES_WIDE = (PI / 9, PI / 3, PI / 2, 2 * PI / 3)
 _PHI_SERIES_LARGE = (PI / 2, 2 * PI / 3, 5 * PI / 6, 8 * PI / 9)
-
-_DEFAULT_NOTE = "series grid and x grid are package defaults, not caption values"
 
 #: the bundled figure presets, built once at import
 _PRESETS = {
@@ -261,13 +242,12 @@ def figure_preset(fig_id: str) -> SweepSpec:
     """Sweep spec for one of the bundled figure presets fig1a..fig4b.
 
     Fixed parameters come from the figure captions; the series grids and
-    the x grids of fig3b-fig3d and fig4 are package defaults, recorded in
-    the spec metadata.
+    the x grids of fig3b-fig3d and fig4 are package defaults.  The spec
+    returned is the bundled one itself; it is frozen.
     """
     try:
-        preset = _PRESETS[fig_id]
+        return _PRESETS[fig_id]
     except KeyError:
         raise InvalidParameterError(
             f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURE_IDS)}"
         ) from None
-    return replace(preset, metadata=(("preset", fig_id), ("note", _DEFAULT_NOTE)))

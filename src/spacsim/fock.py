@@ -133,10 +133,6 @@ def _coherent_amplitudes(polar: Sequence[tuple[float, float]], width: int) -> np
     """Raw amplitudes exp(-r^2/2) alpha^n / sqrt(n!), n < width, in log space, a row per
     (r, theta) from per-row (rows, 1) scalar columns; an r = 0 row is the vacuum."""
     vacuum = [k for k, (r, _) in enumerate(polar) if r == 0.0]
-    if len(vacuum) == len(polar):  # nothing to build in log space
-        amps = np.zeros((len(polar), width), dtype=np.complex128)
-        amps[:, 0] = 1.0
-        return amps
     n, i_n, half_log_factorial, _ = _ladder(max(width, _LADDER_WIDTH))
     row = np.array([(-0.5 * r * r, math.log(r) if r else 0.0, t) for r, t in polar])[..., None]
     amps = np.exp(i_n[:width] * row[:, 2])

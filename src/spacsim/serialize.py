@@ -53,6 +53,6 @@ def render(fmt: str, columns: tuple[str, ...], rows: list[dict]) -> str:
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def sweep_rows(result) -> list[dict]:
-    """SweepResult rows as serializable dicts in their deterministic order."""
-    return [{name: getattr(row, name) for name in SWEEP_COLUMNS} for row in result.rows]
+def sweep_rows(rows) -> list[dict]:
+    """run_sweep's rows as serializable dicts, in their deterministic order."""
+    return [{name: getattr(row, name) for name in SWEEP_COLUMNS} for row in rows]

@@ -26,7 +26,6 @@ from spacsim.errors import (
 )
 from spacsim.experiments import (
     PointResult,
-    SweepResult,
     SweepRow,
     SweepSpec,
     _error_row,
@@ -231,11 +230,11 @@ def _series_label(series: str, value: float) -> str:
     return f"{series}={value:.17g}"
 
 
-def _scalar_value(point: PointResult, spec: SweepSpec) -> float:
+def _scalar_value(point: PointResult, spec: SweepSpec, phi_quad: float) -> float:
     if spec.observable == "mandel_q":
         return observables.mandel_q(point.state)
     if spec.observable == "squeezing":
-        return observables.squeezing(point.state, point.params.phi_quad)
+        return observables.squeezing(point.state, phi_quad)
     return point.true_prob  # postselection_prob
 
 
@@ -250,8 +249,10 @@ def _row_maker(spec: SweepSpec, series_value: float, label: str):
     series = {spec.series: series_value}
     if spec.swept != "n":
         def scalar_row(x: float) -> SweepRow:
-            point = evaluate_point(replace(spec.fixed, **series, **{spec.swept: x}))
-            return SweepRow(label, x, _scalar_value(point, spec), point.tail_mass, point.true_prob)
+            params = replace(spec.fixed, **series, **{spec.swept: x})
+            point = evaluate_point(params)
+            return SweepRow(label, x, _scalar_value(point, spec, params.phi_quad), point.tail_mass,
+                            point.true_prob)
         return scalar_row
     point = evaluate_point(replace(spec.fixed, **series))
     probs = observables.photon_distribution(point.state)
@@ -261,7 +262,7 @@ def _row_maker(spec: SweepSpec, series_value: float, label: str):
         n = int(round(x))
         if n < 0:
             raise InvalidParameterError(f"photon number must be >= 0, got {x!r}")
-        value = float(probs[n]) if n < point.dim else 0.0
+        value = float(probs[n]) if n < point.state.dim else 0.0
         return SweepRow(label, float(n), value, point.tail_mass, point.true_prob)
     return photon_row
 
@@ -281,7 +282,6 @@ def _evaluate_series(spec: SweepSpec, series_value: float) -> list[SweepRow]:
     return rows
 
 
-def point_by_point_sweep(spec: SweepSpec) -> SweepResult:
+def point_by_point_sweep(spec: SweepSpec) -> tuple[SweepRow, ...]:
     """Evaluate a sweep one point after another, in series-major order."""
-    rows = tuple(row for value in spec.series_values for row in _evaluate_series(spec, value))
-    return SweepResult(spec=spec, rows=rows)
+    return tuple(row for value in spec.series_values for row in _evaluate_series(spec, value))

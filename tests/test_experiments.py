@@ -38,9 +38,10 @@ FIG1A_REFERENCE = {
 
 
 def test_evaluate_point_measurement_off_reduces_to_initial_state():
-    point = evaluate_point(ParamSet(r=1.0, theta=0.4, phi_pre=0.0, s=0.0))
-    assert measurement.weak_value(point.params.selection) == 0.0
-    assert measurement.naive_postselection_probability(point.params.selection) == 1.0
+    params = ParamSet(r=1.0, theta=0.4, phi_pre=0.0, s=0.0)
+    point = evaluate_point(params)
+    assert measurement.weak_value(params.selection) == 0.0
+    assert measurement.naive_postselection_probability(params.selection) == 1.0
     assert point.true_prob == pytest.approx(1.0, abs=1e-12)
     from spacsim.observables import mandel_q
 
@@ -52,9 +53,9 @@ def test_single_point_sweep_matches_closed_form():
         swept="r", grid=(1.5,), series="s", series_values=(0.0,),
         fixed=ParamSet(theta=0.3, delta=0.0, phi_pre=PI / 9), observable="mandel_q",
     )
-    result = run_sweep(spec)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    rows = run_sweep(spec)
+    assert len(rows) == 1
+    row = rows[0]
     assert row.status == "ok"
     assert row.value == pytest.approx(analytic_q_initial(CoherentParams(1.5)), abs=1e-8)
 
@@ -64,14 +65,14 @@ def test_zero_coupling_series_matches_closed_forms():
         swept="r", grid=tuple(np.linspace(0.0, 4.0, 9)), series="s", series_values=(0.0,),
         fixed=ParamSet(theta=PI / 4, delta=0.0, phi_pre=PI / 9), observable="mandel_q",
     )
-    for row in run_sweep(q_spec).rows:
+    for row in run_sweep(q_spec):
         assert row.value == pytest.approx(analytic_q_initial(CoherentParams(row.x)), abs=1e-8)
     s_spec = SweepSpec(
         swept="r", grid=tuple(np.linspace(0.0, 4.0, 9)), series="s", series_values=(0.0,),
         fixed=ParamSet(theta=PI / 2, delta=0.0, phi_pre=PI / 9, phi_quad=PI / 2),
         observable="squeezing",
     )
-    for row in run_sweep(s_spec).rows:
+    for row in run_sweep(s_spec):
         assert row.value == pytest.approx(
             analytic_s_initial(CoherentParams(row.x, PI / 2), PI / 2), abs=1e-8
         )
@@ -82,28 +83,11 @@ def test_row_ordering_series_major():
         swept="r", grid=(0.5, 1.0, 2.0), series="s", series_values=(0.0, 1.0),
         fixed=ParamSet(phi_pre=PI / 9), observable="mandel_q",
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     assert [(row.series, row.x) for row in rows] == [
         ("s=0", 0.5), ("s=0", 1.0), ("s=0", 2.0),
         ("s=1", 0.5), ("s=1", 1.0), ("s=1", 2.0),
     ]
-
-
-def test_parallel_serial_identical():
-    spec = figure_preset("fig3c")
-    spec = replace(spec, grid=tuple(np.linspace(0.0, 3.0, 7)))
-    serial = run_sweep(spec, threads=1)
-    parallel = run_sweep(spec, threads=4)
-    assert serial.rows == parallel.rows
-
-
-def test_threads_from_environment(monkeypatch):
-    monkeypatch.setenv("SPACS_THREADS", "3")
-    spec = SweepSpec(
-        swept="r", grid=(0.5, 1.0), series="s", series_values=(0.0, 0.5),
-        fixed=ParamSet(phi_pre=PI / 9), observable="mandel_q",
-    )
-    assert run_sweep(spec).rows == run_sweep(spec, threads=1).rows
 
 
 def test_error_rows_instead_of_abort():
@@ -112,7 +96,7 @@ def test_error_rows_instead_of_abort():
         swept="r", grid=(0.5, 60.0), series="s", series_values=(0.0,),
         fixed=ParamSet(phi_pre=PI / 9), observable="mandel_q",
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     assert rows[0].status == "ok"
     assert rows[1].status == "ConvergenceError"
     assert math.isnan(rows[1].value)
@@ -148,8 +132,8 @@ def test_non_finite_grid_value_becomes_status_row(swept, value):
         swept=swept, grid=grid, series=series, series_values=(0.5,),
         fixed=ParamSet(r=1.0, phi_pre=PI / 9, s=0.5), observable="mandel_q",
     )
-    clean = run_sweep(base).rows
-    rows = run_sweep(replace(base, grid=(grid[0], value, grid[1]))).rows
+    clean = run_sweep(base)
+    rows = run_sweep(replace(base, grid=(grid[0], value, grid[1])))
     assert rows[1].status == "InvalidParameterError"
     assert math.isnan(rows[1].value)
     assert (rows[0], rows[2]) == clean
@@ -160,12 +144,12 @@ def test_non_finite_series_and_photon_number_become_status_rows():
         swept="n", grid=(0.0, math.nan, 2.0), series="s", series_values=(math.inf, 0.5),
         fixed=ParamSet(r=1.0, phi_pre=PI / 9), observable="p_of_n",
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     assert [row.status for row in rows] == [
         "InvalidParameterError", "InvalidParameterError", "InvalidParameterError",
         "ok", "InvalidParameterError", "ok",
     ]
-    clean = run_sweep(replace(spec, grid=(0.0, 2.0), series_values=(0.5,))).rows
+    clean = run_sweep(replace(spec, grid=(0.0, 2.0), series_values=(0.5,)))
     assert (rows[3], rows[5]) == clean
 
 
@@ -174,7 +158,7 @@ def test_negative_photon_number_becomes_status_row():
         swept="n", grid=(-3.0, -1.0, 0.0, 500.0), series="s", series_values=(0.0,),
         fixed=ParamSet(r=1.0), observable="p_of_n",
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     assert [row.status for row in rows] == ["InvalidParameterError"] * 2 + ["ok", "ok"]
     assert math.isnan(rows[0].value)
     assert rows[3].value == 0.0  # n beyond the retained basis reads 0
@@ -185,28 +169,28 @@ def test_phi_pre_series_above_cap_gives_error_rows():
         swept="r", grid=(1.0, 2.0), series="phi_pre", series_values=(0.9999 * PI, PI / 3),
         fixed=ParamSet(s=0.1), observable="mandel_q",
     )
-    rows = run_sweep(spec).rows
+    rows = run_sweep(spec)
     assert [row.status for row in rows[:2]] == ["InvalidParameterError"] * 2
     assert [row.status for row in rows[2:]] == ["ok", "ok"]
 
 
 def test_photon_number_sweep_full_distribution():
     spec = figure_preset("fig1b")
-    result = run_sweep(spec)
-    assert len(result.rows) == len(spec.grid) * len(spec.series_values)
+    rows = run_sweep(spec)
+    assert len(rows) == len(spec.grid) * len(spec.series_values)
     for series_value in spec.series_values:
         label = f"phi_pre={series_value:.17g}"
-        total = sum(row.value for row in result.rows if row.series == label)
+        total = sum(row.value for row in rows if row.series == label)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fig1a_frozen_distribution_regression():
     spec = figure_preset("fig1a")
-    result = run_sweep(spec)
+    rows = run_sweep(spec)
     picks = (0, 3, 6, 10, 15)
     for s, expected in FIG1A_REFERENCE.items():
         label = f"s={s:.17g}"
-        values = {int(row.x): row.value for row in result.rows if row.series == label}
+        values = {int(row.x): row.value for row in rows if row.series == label}
         for n, reference in zip(picks, expected):
             assert values[n] == pytest.approx(reference, abs=1e-9), (s, n)
 
@@ -257,19 +241,17 @@ def test_figure_presets_cover_caption_parameters():
     assert fig4b.fixed.theta == pytest.approx(PI / 2)
     assert fig4b.swept == "s"
     for fig_id in FIGURE_IDS:
-        meta = dict(figure_preset(fig_id).metadata)
-        assert meta["preset"] == fig_id
-        assert "defaults" in meta["note"]
+        assert figure_preset(fig_id) is experiments._PRESETS[fig_id]
 
 
 def test_all_presets_run_clean_on_thinned_grids():
     for fig_id in FIGURE_IDS:
         spec = figure_preset(fig_id)
         thinned = replace(spec, grid=spec.grid[::8] or spec.grid[:1])
-        result = run_sweep(thinned)
-        assert all(row.status == "ok" for row in result.rows), fig_id
-        assert len(result.rows) == len(thinned.grid) * len(thinned.series_values)
-        for row in result.rows:
+        rows = run_sweep(thinned)
+        assert all(row.status == "ok" for row in rows), fig_id
+        assert len(rows) == len(thinned.grid) * len(thinned.series_values)
+        for row in rows:
             if row.series == "s=0" and thinned.observable == "mandel_q":
                 expected = analytic_q_initial(CoherentParams(row.x, thinned.fixed.theta))
                 assert row.value == pytest.approx(expected, abs=1e-8), fig_id
@@ -305,7 +287,7 @@ def test_point_memory_stays_linear_in_dim():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert point.dim == 1151
+    assert point.state.dim == 1151
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -371,7 +353,7 @@ def sweep_specs(draw):
     fixed=ParamSet(theta=PI / 9, delta=PI / 4, phi_pre=PI / 3, s=0.5), observable="p_of_n",
 ))
 def test_grouped_sweep_rows_equal_point_by_point_reference(spec):
-    assert comparable(run_sweep(spec).rows) == comparable(point_by_point_sweep(spec).rows)
+    assert comparable(run_sweep(spec)) == comparable(point_by_point_sweep(spec))
 
 
 def record_builds(monkeypatch):
@@ -392,10 +374,10 @@ def test_long_phi_pre_grids_build_one_branch_pair_per_chunk(monkeypatch, limit):
         swept="phi_pre", grid=tuple(np.linspace(0.0, 0.9 * PI, 7)), series="s",
         series_values=(0.5, 1.0), fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
     )
-    expected = comparable(point_by_point_sweep(spec).rows)
+    expected = comparable(point_by_point_sweep(spec))
     monkeypatch.setattr(measurement, "BATCH_AMPLITUDES", limit * 59)
     calls = record_builds(monkeypatch)
-    assert comparable(run_sweep(spec).rows) == expected
+    assert comparable(run_sweep(spec)) == expected
     assert [len(pointers) for pointers in calls] == ([1, 1] if limit == 1 else [2])
     assert sorted(shifts for pointers in calls for _, shifts, _ in pointers) == [
         (0.25, -0.25), (0.5, -0.5)]
@@ -410,11 +392,11 @@ def test_long_phi_pre_grid_holds_a_bounded_number_of_states():
     )
     tracemalloc.start()
     try:
-        result = run_sweep(spec)
+        rows = run_sweep(spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(row.status == "ok" for row in result.rows)
+    assert all(row.status == "ok" for row in rows)
     assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
@@ -435,8 +417,8 @@ def test_long_phi_pre_grid_holds_a_bounded_number_of_states():
 ], ids=["high-r", "long-phi-pre", "fig3a"])
 def test_sweep_batches_stay_within_the_amplitude_budget(monkeypatch, spec):
     calls = record_builds(monkeypatch)
-    result = run_sweep(spec)
-    assert all(row.status == "ok" for row in result.rows)
+    rows = run_sweep(spec)
+    assert all(row.status == "ok" for row in rows)
     built = [(alpha, shifts) for pointers in calls for alpha, shifts, _ in pointers]
     assert len(built) == len(set(built))  # each pointer in one batch only
     for pointers in calls:
@@ -448,8 +430,8 @@ def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
     # 81 r values x 4 phi_pre series at s = 1: the four selections share each
     # pointer, whose branches are built once, in the one batch that holds it
     calls = record_builds(monkeypatch)
-    result = run_sweep(figure_preset("fig3b"))
-    assert len(result.rows) == 324
+    rows = run_sweep(figure_preset("fig3b"))
+    assert len(rows) == 324
     built = sorted(alpha.r for pointers in calls for alpha, _, _ in pointers)
     assert built == sorted(figure_preset("fig3b").grid)
     assert len(calls) > 1
@@ -460,8 +442,8 @@ def test_fig3b_builds_one_state_per_conditioned_point(monkeypatch):
     state_vector = measurement.StateVector
     monkeypatch.setattr(measurement, "StateVector",
                         lambda *a, **k: built.append(a) or state_vector(*a, **k))
-    result = run_sweep(figure_preset("fig3b"))
-    assert len(result.rows) == 324
+    rows = run_sweep(figure_preset("fig3b"))
+    assert len(rows) == 324
     assert len(built) == 324
 
 
@@ -491,8 +473,8 @@ def test_each_sweep_cell_builds_its_parts_once(monkeypatch):
             built[_name] += 1
             return _cls(*args)
         monkeypatch.setattr(experiments, name, counted)
-    result = run_sweep(spec)
-    assert [row.status for row in result.rows] == ["ok"] * 6
+    rows = run_sweep(spec)
+    assert [row.status for row in rows] == ["ok"] * 6
     assert built == {name: 6 for name in built}
 
 
@@ -507,6 +489,6 @@ def test_degenerate_selection_is_a_status_row_for_that_selection_only(monkeypatc
         swept="r", grid=(1.0,), series="phi_pre", series_values=(0.0, PI / 2),
         fixed=ParamSet(s=0.1, phi_quad=PI / 2), observable="postselection_prob",
     )
-    degenerate, kept = run_sweep(spec).rows
+    degenerate, kept = run_sweep(spec)
     assert degenerate.status == "DegeneratePostselectionError"
     assert kept.status == "ok" and 0.0 < kept.value <= 1.0

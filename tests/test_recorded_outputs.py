@@ -8,7 +8,8 @@ and are held to tighter bounds.  Floats are compared with a tolerance
 rather than by bytes, because numpy's vectorized exp and log may differ
 in the last bit between CPUs; text, status columns and row order are
 compared exactly.  A change that moves a number on purpose shows the
-move here.
+move here.  The two summary lines ``spacsim figure`` prints for each
+preset, recorded likewise, are compared as text.
 """
 
 import csv
@@ -50,6 +51,21 @@ PASS oracle-equivalence-grid: max infidelity 3.331e-16, probability diff 4.108e-
 beta diff 2.887e-15, worst at r=4.0, theta=1.571, delta=0.7854, phi=2.094, s=1.0
 all 5 checks passed
 """
+
+# (rows, max tail mass) in the summary ``spacsim figure`` prints
+RECORDED_FIGURE_SUMMARY = {
+    "fig1a": (104, "2.418e-24"),
+    "fig1b": (104, "5.977e-24"),
+    "fig2a": (324, "5.672e-21"),
+    "fig2b": (324, "3.958e-21"),
+    "fig3a": (324, "5.672e-21"),
+    "fig3b": (324, "4.746e-32"),
+    "fig3c": (244, "3.610e-24"),
+    "fig3d": (324, "5.672e-21"),
+    "fig4a": (244, "4.810e-21"),
+    "fig4b": (244, "2.532e-21"),
+}
+PRESET_NOTE = "series grid and x grid are package defaults, not caption values"
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -100,3 +116,16 @@ def test_check_stdout_matches_recording():
         assert _NUMBER.sub("#", got_line) == _NUMBER.sub("#", want_line)
         for a, b in zip(_NUMBER.findall(got_line), _NUMBER.findall(want_line)):
             assert _same_float(float(a), float(b), 0.0, 1e-14), (got_line, want_line)
+
+
+@pytest.mark.parametrize("fig_id", experiments.FIGURE_IDS)
+def test_figure_summary_matches_recording(fig_id, tmp_path):
+    out = tmp_path / f"{fig_id}.csv"
+    result = CliRunner().invoke(main, ["figure", fig_id, "--out", str(out)],
+                                catch_exceptions=False)
+    assert result.exit_code == 0
+    rows, max_tail = RECORDED_FIGURE_SUMMARY[fig_id]
+    assert result.output.splitlines() == [
+        f"{fig_id}: {rows} rows -> {out}",
+        f"max tail mass {max_tail}; preset: {fig_id}; note: {PRESET_NOTE}",
+    ]
