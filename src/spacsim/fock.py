@@ -8,9 +8,10 @@ stay plain arrays.  The main path works on O(dim) amplitude vectors only:
 displaced photon-added coherent states come in closed form from
 ``displaced_spacs``, and ``adaptive_dim`` builds no state at all.  The
 dense complex (dim, dim) displacement matrices serve the criterion-3
-identity check and the tests as references.  All values are immutable
-after construction and every function is pure, so everything here is
-safe to call concurrently.
+identity check and the tests as references.  Both read log(n!) from one
+math.lgamma table (``_ladder``), built once per power-of-two size.  All
+values are immutable after construction and every function is pure, so
+everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ConvergenceError,
@@ -41,7 +41,7 @@ DIM_CAP = 4096
 #: constructors accept and the doubling change adaptive_dim certifies
 TAIL_TOL = 1e-9
 
-#: builds up to this width (every preset and check) share one cached _ladder
+#: the smallest _ladder size; every preset and check fits in it
 _LADDER_WIDTH = 256
 
 
@@ -121,19 +121,27 @@ def spacs_gamma_sq(mod_sq: float) -> float:
     return 1.0 / (1.0 + mod_sq)
 
 
-@lru_cache(maxsize=1)
-def _ladder(size: int) -> tuple[np.ndarray, ...]:
-    """n, i n, log(n!) / 2 and sqrt(n) for n < size: read-only tables, built on first use."""
+def _ladder(width: int) -> tuple[np.ndarray, ...]:
+    """n, i n, log(n!) / 2 and sqrt(n) for n below the next power of two >= width and
+    _LADDER_WIDTH: read-only tables, each size built once, equal wherever two sizes overlap."""
+    return _ladder_of_size(1 << (max(width, _LADDER_WIDTH) - 1).bit_length())
+
+
+@lru_cache(maxsize=None)  # powers of two: five sizes up to DIM_CAP
+def _ladder_of_size(size: int) -> tuple[np.ndarray, ...]:
     n = np.arange(size, dtype=np.float64)
+    known = _ladder_of_size(size // 2)[2] if size > _LADDER_WIDTH else n[:0]  # grown, not rebuilt
+    half_log_factorial = np.concatenate(
+        [known, 0.5 * np.array(list(map(math.lgamma, (n[known.size:] + 1.0).tolist())))])
     return tuple(np.frombuffer(t.tobytes(), t.dtype)  # read-only, as the cache shares them
-                 for t in (n, 1j * n, 0.5 * gammaln(n + 1.0), np.sqrt(n)))
+                 for t in (n, 1j * n, half_log_factorial, np.sqrt(n)))
 
 
 def _coherent_amplitudes(polar: Sequence[tuple[float, float]], width: int) -> np.ndarray:
     """Raw amplitudes exp(-r^2/2) alpha^n / sqrt(n!), n < width, in log space, a row per
     (r, theta) from per-row (rows, 1) scalar columns; an r = 0 row is the vacuum."""
     vacuum = [k for k, (r, _) in enumerate(polar) if r == 0.0]
-    n, i_n, half_log_factorial, _ = _ladder(max(width, _LADDER_WIDTH))
+    n, i_n, half_log_factorial, _ = _ladder(width)
     row = np.array([(-0.5 * r * r, math.log(r) if r else 0.0, t) for r, t in polar])[..., None]
     amps = np.exp(i_n[:width] * row[:, 2])
     amps *= np.exp(row[:, 0] + n[:width] * row[:, 1] - half_log_factorial[:width])
@@ -145,7 +153,7 @@ def _coherent_amplitudes(polar: Sequence[tuple[float, float]], width: int) -> np
 def _photon_added(raw: np.ndarray) -> np.ndarray:
     """a_dag applied over the truncated basis: component n is sqrt(n) raw[n-1], per row."""
     width, added = raw.shape[-1], np.zeros_like(raw)
-    np.multiply(_ladder(max(width, _LADDER_WIDTH))[3][1:width], raw[..., :-1], out=added[..., 1:])
+    np.multiply(_ladder(width)[3][1:width], raw[..., :-1], out=added[..., 1:])
     return added
 
 
@@ -222,8 +230,8 @@ def _fill_displacement_band(out: np.ndarray, beta: complex, lower: bool) -> None
     """
     dim = out.shape[0]
     x = abs(beta) ** 2
-    k = np.arange(dim, dtype=np.float64)
-    logmag = -0.5 * x - 0.5 * gammaln(k + 1.0) + k * math.log(abs(beta))
+    k, _, half_log_factorial, _ = (table[:dim] for table in _ladder(dim))
+    logmag = -0.5 * x - half_log_factorial + k * math.log(abs(beta))
     m_prev = np.exp(logmag) * np.exp(1j * k * np.angle(beta))  # E_0 over diagonals
     m_prevprev = np.zeros(dim, dtype=np.complex128)
     if lower:

@@ -17,11 +17,11 @@ displacement matrix); ``branch_superposition`` then superposes them per
 selection into one normalized StateVector and its exact postselection
 probability.  Sweeps, single points and the checks all go through it.
 The closed-form normalization is kept as a cross-check, and an
-independent oracle evolves the full qubit (x) pointer space with the
-sparse ``expm_multiply`` for validation, at any dimension; it evolves
-the pointer once for any number of selections and shares no code with
-the closed-form branches.  The dense (real) ``expm`` of the coupling is
-kept only for the two-branch unitary identity check.
+independent oracle evolves the full qubit (x) pointer space with a banded
+numpy Taylor propagator for validation, at any dimension; it evolves the
+pointer once for any number of selections and shares no code with the
+closed-form branches.  The same propagator applied to the identity gives
+the dense unitary kept only for the two-branch unitary identity check.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import expm
+import scipy  # noqa: F401  loads no submodule; perfbench/child.py:44 reads
+# sys.modules["scipy"].__version__ until ROADMAP item 1 reads it from the metadata
 
 from . import fock
 from .errors import (
@@ -49,6 +50,10 @@ PHI_PRE_CAP = 0.999 * math.pi
 
 #: most pointers x padded width one fock.displaced_spacs call builds; bounds memory
 BATCH_AMPLITUDES = 1024
+
+#: Al-Mohy and Higham's theta_40 for double precision: the 1-norm one Taylor step of
+#: degree 40 covers (theta_55 = 9.9 left up to 5e-14 of rounding at dim 1291, this 1e-15)
+_TAYLOR_THETA, _TAYLOR_DEGREE = 6.0, 40
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -160,17 +165,41 @@ def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:
     return 1.0 / math.sqrt(2.0 * bracket)
 
 
-def joint_unitary_dense(dim: int, s: float) -> np.ndarray:
-    """exp(-i g sigma_x (x) P) on the 2*dim joint space via scaling-and-squaring.
+def _coupling_propagate(y: np.ndarray, s: float) -> np.ndarray:
+    """exp(A) y, A = s sigma_x (x) (a_dag - a) / 2, for a real (2 dim, k) block y, in Taylor steps.
 
-    With sigma = 1 the strength g equals s.  P = (i/2)(a_dag - a) is
-    purely imaginary, so the generator is the real s sigma_x (x) Im(P),
-    built from its two +-sqrt(n)/2 bands, and expm runs in real
-    arithmetic.  This path shares no code with the displacement matrices.
+    Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011): ceil(||A||_1 / _TAYLOR_THETA)
+    steps, ||A||_1 = s (sqrt(dim-1) + sqrt(dim-2)) / 2 exactly for the two sqrt(n) bands, each
+    summing at most _TAYLOR_DEGREE terms and stopping when two successive terms fall below
+    unit roundoff relative to the sum.  Elementwise numpy only: no BLAS call, no RNG.
     """
-    half_root_n = 0.5 * np.sqrt(np.arange(1, dim, dtype=np.float64))
-    im_p = np.diag(half_root_n, k=-1) - np.diag(half_root_n, k=1)
-    return expm(s * np.kron(SIGMA_X.real, im_p)).astype(np.complex128)
+    dim = y.shape[0] // 2
+    steps = math.ceil(0.5 * s * (math.sqrt(dim - 1) + math.sqrt(dim - 2)) / _TAYLOR_THETA)
+    root_n = np.sqrt(np.arange(1.0, dim)) * (0.5 * s / max(steps, 1))  # A / steps on a band
+    total = y.T.reshape(-1, 2, dim)  # (column, qubit, n)
+    for _ in range(steps):
+        term, small = total, np.abs(total).sum(axis=0).max()
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            flipped, band, term = term[:, ::-1], root_n / j, np.zeros_like(term)  # sigma_x flips
+            np.multiply(band, flipped[..., :-1], out=term[..., 1:])  # <n|a_dag|n-1> = sqrt(n)
+            term[..., :-1] -= band * flipped[..., 1:]  # <n-1|a|n> = sqrt(n)
+            total = total + term
+            size = np.abs(term).sum(axis=0).max()
+            if small + size <= 2.0**-53 * np.abs(total).sum(axis=0).max():
+                break
+            small = size
+    return np.ascontiguousarray(total.reshape(-1, 2 * dim).T)
+
+
+def joint_unitary_dense(dim: int, s: float) -> np.ndarray:
+    """exp(-i g sigma_x (x) P) on the 2*dim joint space as a dense matrix.
+
+    With sigma = 1 the strength g equals s.  P = (i/2)(a_dag - a), so the
+    exponent is the real s sigma_x (x) (a_dag - a) / 2, and the matrix is the
+    Taylor propagator applied to the identity, in real arithmetic.  This path
+    shares no code with the displacement matrices.
+    """
+    return _coupling_propagate(np.eye(2 * dim), s).astype(np.complex128)
 
 
 def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
@@ -184,42 +213,24 @@ def joint_unitary_branches(dim: int, s: float) -> np.ndarray:
 def joint_evolution_project(
     pointer: StateVector, selections: tuple[SelectionConfig, ...], s: float
 ) -> list[tuple[StateVector, float]]:
-    """Independent oracle: sparse joint evolution, then projection onto |H>.
+    """Independent oracle: joint evolution, then projection onto |H>.
 
-    Applies exp(-i s sigma_x (x) P) to |H> (x) |pointer> and |V> (x)
-    |pointer> in one scipy.sparse.linalg.expm_multiply call (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), where P = (i/2)(a_dag -
-    a) is two sqrt(n) bands in CSR form.  The evolution is linear in the
-    qubit state, so each selection's projected pointer is the dim x 2 <H|
+    Applies exp(-i s sigma_x (x) P) = exp(s sigma_x (x) (a_dag - a) / 2) to
+    |H> (x) |pointer> and |V> (x) |pointer> as one two-column block, with the
+    banded Taylor propagator _coupling_propagate.  The evolution is linear in
+    the qubit state, so each selection's projected pointer is the dim x 2 <H|
     block applied to its |psi_i>.  It shares no code with the displacement
-    matrices or the closed-form branches, and costs O(dim) per Taylor
-    step, so it accepts every dimension adaptive_dim can return.
+    matrices or the closed-form branches, draws no random numbers, and costs
+    O(dim) per Taylor term, so it accepts every dimension adaptive_dim can
+    return.
 
     Returns the normalized projected pointer and the postselection
     probability for each selection, in order.
-
-    Determinism: while the generator's 1-norm, about s sqrt(dim), stays
-    below about 32 (63 / number of columns), expm_multiply works from the
-    exact norm; above it (dim above about 110 at s = 3) its norm estimate
-    (onenormest) draws from numpy's global RNG.  That state is saved and
-    restored around the call, so the oracle leaves np.random as it found
-    it; the result was bit-identical across six seeds at dims 779 and 1291.
     """
-    # Imported here, not at module level: scipy.sparse adds about 0.03 s to
-    # every `import spacsim`, and only this oracle needs it.
-    from scipy import sparse
-    from scipy.sparse.linalg import expm_multiply
-
     dim = pointer.dim
-    root_n = np.sqrt(np.arange(1, dim, dtype=np.float64))
-    # <n|P|n-1> = (i/2) sqrt(n) from a_dag, <n-1|P|n> = -(i/2) sqrt(n) from a
-    momentum = sparse.diags([0.5j * root_n, -0.5j * root_n], [-1, 1], format="csr")
-    generator = sparse.kron(SIGMA_X, -1j * s * momentum, format="csr")
-    rng_state = np.random.get_state()
-    try:  # columns |H> (x) |pointer> and |V> (x) |pointer>
-        joint = expm_multiply(generator, np.kron(np.eye(2), pointer.amplitudes[:, None]))
-    finally:
-        np.random.set_state(rng_state)
+    # columns |H> (x) |pointer> and |V> (x) |pointer>, each as its real and imaginary part
+    columns = np.kron(np.eye(2), pointer.amplitudes[:, None]).view(np.float64)
+    joint = _coupling_propagate(columns, s).view(np.complex128)
     block = joint[:dim]  # <H| rows in the system (x) pointer ordering
     projected = [block @ sel.preselected for sel in selections]
     probabilities = [float(np.vdot(v, v).real) for v in projected]

@@ -1,5 +1,7 @@
 """The verification suite behind ``spacsim check``: cost and repeatability."""
 
+import pytest
+
 from spacsim import checks, fock, measurement
 
 
@@ -37,3 +39,21 @@ def test_oracle_grid_builds_each_pointers_branches_once(monkeypatch):
 
 def test_run_all_is_repeatable():
     assert checks.run_all() == checks.run_all()
+
+
+@pytest.mark.parametrize("n", [1, 10, 40])
+def test_a_wrong_log_factorial_entry_fails_a_check(monkeypatch, n):
+    # fault matrix: log((n+1)!) in place of log(n!) in the one table every
+    # coherent amplitude and displacement matrix reads
+    ladder = fock._ladder
+
+    def corrupted(width):
+        n_table, i_n, half_log_factorial, root_n = ladder(width)
+        wrong = half_log_factorial.copy()
+        wrong[n] = half_log_factorial[n + 1]
+        return n_table, i_n, wrong, root_n
+
+    monkeypatch.setattr(fock, "_ladder", corrupted)
+    outcomes = checks.run_all()
+    assert len(outcomes) == 5  # every check reports: a raising one as a FAIL line
+    assert any(not o.passed for o in outcomes)

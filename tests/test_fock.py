@@ -171,6 +171,25 @@ def test_coherent_poisson_law():
     assert np.max(np.abs(probs - reference)) < 1e-10
 
 
+def test_log_factorial_table_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    size = 2 * fock.DIM_CAP + 2
+    half_log_factorial = fock._ladder(size)[2][:size]
+    want = 0.5 * gammaln(np.arange(size) + 1.0)
+    np.testing.assert_allclose(half_log_factorial, want, rtol=1e-15, atol=0.0)
+
+
+def test_ladder_sizes_agree_bit_for_bit():
+    # a sweep reads the same log(n!) whatever size of table an earlier width grew
+    small, large = fock._ladder(1), fock._ladder(4096)
+    assert [t.size for t in small] == [256] * 4 and [t.size for t in large] == [4096] * 4
+    for table_small, table_large in zip(small, large):
+        assert table_small.tobytes() == table_large[:256].tobytes()
+        assert not table_small.flags.writeable
+    assert fock._ladder(257)[0].size == 512 and fock._ladder(256) is small
+
+
 def test_coherent_truncation_error():
     with pytest.raises(errors.TruncationError):
         coherent_state(CoherentParams(3.0), 8)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spacsim import errors, fock, measurement
 from spacsim.checks import ORACLE_FIDELITY_TOL, ORACLE_PROB_TOL
-from spacsim.fock import CoherentParams, inner_product, spacs_state
+from spacsim.fock import CoherentParams, StateVector, inner_product, spacs_state
 from spacsim.measurement import (
     SelectionConfig,
     analytic_beta,
@@ -366,8 +366,8 @@ def test_two_branch_decomposition_identity(s):
     assert np.max(np.abs((dense - branches)[mask])) < 1e-8
 
 
-@pytest.mark.parametrize("dim", [10, 40])
-@pytest.mark.parametrize("s", [0.1, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [10, 40, 2, 80])
+@pytest.mark.parametrize("s", [0.1, 1.0, 2.0, 5.0])
 def test_real_dense_exponential_matches_complex_reference(dim, s):
     real = joint_unitary_dense(dim, s)
     assert real.dtype == np.complex128
@@ -399,6 +399,28 @@ def test_batched_oracle_matches_single_selection_reference(r, theta, s, angles):
         ref_state, ref_prob = single_selection_oracle(pointer, sel, s)
         assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) <= 1e-13
         assert abs(prob - ref_prob) <= 1e-13
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=1291),
+    st.floats(min_value=0.0, max_value=5.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=0.9 * PI),
+    st.floats(min_value=0.0, max_value=2 * PI, exclude_max=True),
+)
+@example(dim=1291, s=5.0, seed=0, phi_pre=PI / 3, delta=PI / 4)
+@example(dim=2, s=5.0, seed=1, phi_pre=0.0, delta=0.0)
+def test_taylor_oracle_matches_scipy_reference_on_any_pointer(dim, s, seed, phi_pre, delta):
+    # the numpy propagator against scipy's expm_multiply, on pointers that fill the basis
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    pointer = StateVector(amps / np.linalg.norm(amps))
+    sel = SelectionConfig(phi_pre, delta)
+    [(state, prob)] = joint_evolution_project(pointer, (sel,), s)
+    ref_state, ref_prob = single_selection_oracle(pointer, sel, s)
+    assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) <= 1e-13
+    assert abs(prob - ref_prob) <= 1e-13
 
 
 def test_batched_oracle_rejects_degenerate_selection():
@@ -437,8 +459,8 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
 
 
 def test_oracle_leaves_global_rng_untouched():
-    # at dim 1291 and s = 3 the norm estimate inside expm_multiply draws
-    # from np.random
+    # the Taylor propagator draws no random numbers; at dim 1291 and s = 3
+    # the norm estimate inside scipy's expm_multiply would
     alpha = CoherentParams(28.0)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, 3.0))
     before = np.random.get_state()

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from spacsim import checks, fock
@@ -80,3 +83,37 @@ def test_benchmark_per_layer_names_resolve():
         and getattr(value, "__module__", None) == checks.__name__
     }
     assert defined == {name for module, name in functions if module == "checks"}
+
+
+def test_oracle_propagator_shares_no_code_with_fock():
+    # fock never names the oracle's propagator, and the propagator calls nothing of fock's
+    fock_tree = ast.parse((SRC / "fock.py").read_text())
+    fock_names = {getattr(node, "name", None) for node in fock_tree.body} - {None} | {"fock"}
+    assert "_coupling_propagate" not in (SRC / "fock.py").read_text()
+    [propagator] = [
+        node for node in ast.parse((SRC / "measurement.py").read_text()).body
+        if getattr(node, "name", None) == "_coupling_propagate"
+    ]
+    used = {getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(propagator)}
+    assert used & fock_names == set()
+
+
+def test_no_workload_loads_a_scipy_submodule():
+    # in a fresh process: importing the CLI, then every check and one preset sweep
+    code = """
+import sys
+import spacsim.cli
+from spacsim import checks, experiments
+heavy = ("scipy.special", "scipy.linalg", "scipy.sparse")
+loaded = lambda: sorted(name for name in sys.modules if name.startswith(heavy))
+print(loaded())
+assert all(outcome.passed for outcome in checks.run_all())
+experiments.run_sweep(experiments.figure_preset("fig2a"))
+print(loaded())
+"""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]

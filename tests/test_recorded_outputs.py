@@ -41,14 +41,14 @@ RECORDED_STATE = (
 )
 
 RECORDED_CHECK = """\
-PASS mandel-q-closed-form: max |numeric - analytic| = 8.327e-16 at r=4.0, theta=0 (tol 1.0e-08)
+PASS mandel-q-closed-form: max |numeric - analytic| = 4.996e-16 at r=2.0, theta=0 (tol 1.0e-08)
 PASS squeezing-closed-form: max |numeric - analytic| = 6.661e-16 at r=0.5, theta=0.349066, \
 phi=0 (tol 1.0e-08)
 PASS two-branch-unitary-identity: max entry difference on retained blocks = 7.883e-15 \
 (tol 1.0e-08)
 PASS trend-assertions: all 5 assertions hold
-PASS oracle-equivalence-grid: max infidelity 3.331e-16, probability diff 4.108e-15, \
-beta diff 2.887e-15, worst at r=4.0, theta=1.571, delta=0.7854, phi=2.094, s=1.0
+PASS oracle-equivalence-grid: max infidelity 4.441e-16, probability diff 3.775e-15, \
+beta diff 2.442e-15, worst at r=4.0, theta=0, delta=0.7854, phi=0.3491, s=0.1
 all 5 checks passed
 """
 
