@@ -4,7 +4,7 @@ single-photon-added coherent pointer state.
 Builds the conditioned pointer state after an impulsive qubit-pointer
 coupling followed by postselection, and evaluates its photon-number
 distribution, Mandel Q factor, and quadrature squeezing, with an
-independent joint-evolution oracle (sparse ``expm_multiply``) for
+independent joint-evolution oracle (a banded Taylor propagator) for
 validation.
 """
 

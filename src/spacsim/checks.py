@@ -1,12 +1,11 @@
 """Self-verification suite behind the ``check`` command.
 
 Three families: closed-form pairings (numeric observables of the
-photon-added coherent state against their analytic expressions), the
-oracle grid against the sparse ``expm_multiply`` joint evolution
-(conditioned state, postselection probability, and normalization
-constant; one evolution and one ``postselected_pointer`` call per pointer
-serve its six selections), and the five qualitative trend assertions,
-which read their numbers from the figure presets.  Every outcome is a
+photon-added coherent state, and the log-factorial table), the oracle
+grid against a banded Taylor propagator's joint evolution (state,
+probability and normalization constant; one evolution per (dim, s)
+pointer block, one ``postselected_pointer`` call per pointer), and five
+trend assertions read from the figure presets.  Every outcome is a
 ``CheckOutcome`` carrying its worst-case numbers; an error held in a
 conditioned-state slot is raised, and fails its check in ``run_all``.
 """
@@ -27,6 +26,7 @@ from .measurement import SelectionConfig
 PI = math.pi
 
 PAIRING_TOL = 1e-8
+LADDER_TOL = 1e-9  # rounding leaves 1.04e-11 below 4096 (6 ulp); a wrong entry moves log 2
 ORACLE_FIDELITY_TOL = 1e-9
 ORACLE_PROB_TOL = 1e-9
 BETA_TOL = 1e-8
@@ -52,7 +52,10 @@ class CheckOutcome:
 
 
 def check_q_pairing() -> tuple[bool, str]:
-    """Numeric Mandel Q of the photon-added coherent state vs closed form."""
+    """Numeric Mandel Q vs closed form, and 2 (h[n] - h[n-1]) = log n for every entry
+    h[n] = log(n!) / 2 of the fock._ladder table that any dimension reads."""
+    n, _, half_log_factorial, _ = fock._ladder(fock.DIM_CAP)
+    ladder = float(np.abs(2.0 * np.diff(half_log_factorial) - np.log(n[1:])).max())
     worst = 0.0
     worst_at = ""
     for r in R_GRID:
@@ -62,10 +65,10 @@ def check_q_pairing() -> tuple[bool, str]:
             diff = abs(observables.mandel_q(state) - observables.analytic_q_initial(alpha))
             if diff > worst:
                 worst, worst_at = diff, f"r={r}, theta={theta:.6g}"
-    return (
-        worst <= PAIRING_TOL,
-        f"max |numeric - analytic| = {worst:.3e} at {worst_at} (tol {PAIRING_TOL:.1e})",
-    )
+    detail = f"max |numeric - analytic| = {worst:.3e} at {worst_at} (tol {PAIRING_TOL:.1e})"
+    if not ladder <= LADDER_TOL:
+        return False, f"{detail}; log-factorial table off by {ladder:.3e} (tol {LADDER_TOL:.1e})"
+    return worst <= PAIRING_TOL, detail
 
 
 def check_s_pairing() -> tuple[bool, str]:
@@ -109,38 +112,38 @@ def check_eq4_identity() -> tuple[bool, str]:
 
 def check_oracle_grid() -> tuple[bool, str]:
     """Main-path conditioned state vs the joint-evolution oracle, 162 points."""
-    selections = tuple(
-        SelectionConfig(phi_pre, delta) for delta in ORACLE_DELTA for phi_pre in ORACLE_PHI
-    )
-    worst_infid = 0.0
-    worst_prob = 0.0
-    worst_beta = 0.0
+    selections = tuple(SelectionConfig(phi_pre, delta)
+                       for delta in ORACLE_DELTA for phi_pre in ORACLE_PHI)
+    points = [(r, theta, s, CoherentParams(r, theta))
+              for r in ORACLE_R for theta in ORACLE_THETA for s in ORACLE_S]
+    groups = {}  # adaptive_dim reads |alpha| and s only: one evolution per (r, s)
+    for r, theta, s, alpha in points:
+        groups.setdefault((fock.adaptive_dim(alpha, s), s), []).append(alpha)
+    oracle = {}
+    for (dim, s), alphas in groups.items():
+        evolved = measurement.joint_evolution_project(
+            tuple(fock.spacs_state(alpha, dim) for alpha in alphas), selections, s)
+        oracle.update(((alpha, s), (dim, states)) for alpha, states in zip(alphas, evolved))
+    worst_infid = worst_prob = worst_beta = 0.0
     worst_at = ""
-    for r in ORACLE_R:
-        for theta in ORACLE_THETA:
-            alpha = CoherentParams(r, theta)
-            for s in ORACLE_S:
-                dim = fock.adaptive_dim(alpha, s)
-                oracle = measurement.joint_evolution_project(fock.spacs_state(alpha, dim),
-                                                             selections, s)
-                outcomes = measurement.postselected_pointer([(alpha, dim, s, selections)])
-                for sel, (oracle_state, oracle_prob), out in zip(selections, oracle, outcomes):
-                    if isinstance(out, SpacsimError):
-                        raise out
-                    final, prob = out
-                    w = measurement.weak_value(sel)
-                    infid = 1.0 - abs(fock.inner_product(oracle_state, final))
-                    prob_diff = abs(prob - oracle_prob)
-                    # prob = naive * ||superposition||^2 / 4 gives 1/||superposition||
-                    naive = measurement.naive_postselection_probability(sel)
-                    beta_diff = abs(
-                        measurement.analytic_beta(alpha, w, s) - 0.5 * math.sqrt(naive / prob)
-                    )
-                    if max(infid, prob_diff, beta_diff) > max(worst_infid, worst_prob, worst_beta):
-                        worst_at = f"r={r}, theta={theta:.4g}, delta={sel.delta:.4g}, phi={sel.phi_pre:.4g}, s={s}"
-                    worst_infid = max(worst_infid, infid)
-                    worst_prob = max(worst_prob, prob_diff)
-                    worst_beta = max(worst_beta, beta_diff)
+    for r, theta, s, alpha in points:
+        dim, states = oracle[alpha, s]
+        outcomes = measurement.postselected_pointer([(alpha, dim, s, selections)])
+        for sel, (oracle_state, oracle_prob), out in zip(selections, states, outcomes):
+            if isinstance(out, SpacsimError):
+                raise out
+            final, prob = out
+            w = measurement.weak_value(sel)
+            infid = 1.0 - abs(fock.inner_product(oracle_state, final))
+            prob_diff = abs(prob - oracle_prob)
+            # prob = naive * ||superposition||^2 / 4 gives 1/||superposition||
+            naive = measurement.naive_postselection_probability(sel)
+            beta_diff = abs(measurement.analytic_beta(alpha, w, s) - 0.5 * math.sqrt(naive / prob))
+            if max(infid, prob_diff, beta_diff) > max(worst_infid, worst_prob, worst_beta):
+                worst_at = f"r={r}, theta={theta:.4g}, delta={sel.delta:.4g}, phi={sel.phi_pre:.4g}, s={s}"
+            worst_infid = max(worst_infid, infid)
+            worst_prob = max(worst_prob, prob_diff)
+            worst_beta = max(worst_beta, beta_diff)
     passed = (
         worst_infid <= ORACLE_FIDELITY_TOL
         and worst_prob <= ORACLE_PROB_TOL

@@ -245,7 +245,7 @@ def figure(fig_id, out, fmt):
 
 
 @main.command()
-@click.option("--quick", is_flag=True, help="skip the expm_multiply oracle grid")
+@click.option("--quick", is_flag=True, help="skip the joint-evolution oracle grid")
 def check(quick):
     """Run the self-verification suite; exit 0 only if everything passes."""
     outcomes = checks.run_all(quick=quick)

@@ -5,8 +5,10 @@ or apply dense operators and plain truncated states, so the tests can
 compare the fast paths against a direct computation.  The numeric
 doubling probe is the reference for the closed-form dimension choice,
 the one-column oracle for the batched one, the complex-arithmetic
-dense exponential for the real one, and the point-by-point sweep loop
-for the sweep that evaluates each shared pointer once.
+dense exponential for the real one, the Taylor propagator that took the
+sum's norm at every term for the one that bounds it first, and the
+point-by-point sweep loop for the sweep that evaluates each shared
+pointer once.
 """
 
 import math
@@ -40,7 +42,7 @@ from spacsim.fock import (
     _coherent_amplitudes,
     require_finite,
 )
-from spacsim.measurement import SIGMA_X, SelectionConfig
+from spacsim.measurement import _TAYLOR_DEGREE, _TAYLOR_THETA, SIGMA_X, SelectionConfig
 
 #: generator 1-norm one expm_multiply call of single_selection_oracle covers
 REFERENCE_STEP_NORM = 4.0
@@ -189,6 +191,31 @@ def complex_joint_unitary_dense(dim: int, s: float) -> np.ndarray:
     """
     _, p = quadrature_ops(dim, sigma=1.0)
     return expm(-1j * s * np.kron(SIGMA_X, p))
+
+
+def norm_every_term_propagate(y: np.ndarray, s: float) -> np.ndarray:
+    """exp(A) y, A = s sigma_x (x) (a_dag - a) / 2, for a real (2 dim, k) block y, in Taylor steps.
+
+    measurement._coupling_propagate as it was before its stopping test
+    bounded the sum's norm from the term sizes: this one takes the norm of
+    the sum after every term.  Kept verbatim as its reference.
+    """
+    dim = y.shape[0] // 2
+    steps = math.ceil(0.5 * s * (math.sqrt(dim - 1) + math.sqrt(dim - 2)) / _TAYLOR_THETA)
+    root_n = np.sqrt(np.arange(1.0, dim)) * (0.5 * s / max(steps, 1))  # A / steps on a band
+    total = y.T.reshape(-1, 2, dim)  # (column, qubit, n)
+    for _ in range(steps):
+        term, small = total, np.abs(total).sum(axis=0).max()
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            flipped, band, term = term[:, ::-1], root_n / j, np.zeros_like(term)  # sigma_x flips
+            np.multiply(band, flipped[..., :-1], out=term[..., 1:])  # <n|a_dag|n-1> = sqrt(n)
+            term[..., :-1] -= band * flipped[..., 1:]  # <n-1|a|n> = sqrt(n)
+            total = total + term
+            size = np.abs(term).sum(axis=0).max()
+            if small + size <= 2.0**-53 * np.abs(total).sum(axis=0).max():
+                break
+            small = size
+    return np.ascontiguousarray(total.reshape(-1, 2 * dim).T)
 
 
 def single_selection_oracle(

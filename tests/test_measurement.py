@@ -22,6 +22,7 @@ from spacsim.measurement import (
 from _reference import (
     apply,
     complex_joint_unitary_dense,
+    norm_every_term_propagate,
     normalize,
     single_selection_oracle,
 )
@@ -150,7 +151,7 @@ def test_true_probability_matches_oracle():
     pointer = spacs_state(alpha, 90)
     sel = SelectionConfig(PI / 3, PI / 4)
     s = 0.1
-    [(_, oracle_prob)] = joint_evolution_project(pointer, (sel,), s)
+    [[(_, oracle_prob)]] = joint_evolution_project((pointer,), (sel,), s)
     [(_, prob)] = pointer_outcomes(alpha, 90, (sel,), s)
     assert prob == pytest.approx(oracle_prob, abs=1e-12)
 
@@ -200,7 +201,7 @@ def test_final_state_matches_oracle_reference_point():
     sel = SelectionConfig(PI / 3, PI / 4)
     s = 0.5
     [(final, _)] = pointer_outcomes(alpha, dim, (sel,), s)
-    [(oracle_state, _)] = joint_evolution_project(pointer, (sel,), s)
+    [[(oracle_state, _)]] = joint_evolution_project((pointer,), (sel,), s)
     assert fidelity(final, oracle_state) > 1 - 1e-9
 
 
@@ -349,7 +350,7 @@ def test_beta_positive_and_finite(r, theta, phi_pre, delta, s):
 def test_oracle_identity_at_s_zero():
     pointer = spacs_state(CoherentParams(1.1, 0.5), 40)
     sel = SelectionConfig(PI / 3, PI / 5)
-    [(state, prob)] = joint_evolution_project(pointer, (sel,), 0.0)
+    [[(state, prob)]] = joint_evolution_project((pointer,), (sel,), 0.0)
     assert prob == pytest.approx(naive_postselection_probability(sel), abs=1e-12)
     assert fidelity(state, pointer) > 1 - 1e-12
 
@@ -393,7 +394,7 @@ def test_batched_oracle_matches_single_selection_reference(r, theta, s, angles):
     alpha = CoherentParams(r, theta)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, s))
     selections = tuple(SelectionConfig(phi_pre, delta) for phi_pre, delta in angles)
-    batched = joint_evolution_project(pointer, selections, s)
+    [batched] = joint_evolution_project((pointer,), selections, s)
     assert len(batched) == len(selections)
     for sel, (state, prob) in zip(selections, batched):
         ref_state, ref_prob = single_selection_oracle(pointer, sel, s)
@@ -417,10 +418,27 @@ def test_taylor_oracle_matches_scipy_reference_on_any_pointer(dim, s, seed, phi_
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     pointer = StateVector(amps / np.linalg.norm(amps))
     sel = SelectionConfig(phi_pre, delta)
-    [(state, prob)] = joint_evolution_project(pointer, (sel,), s)
+    [[(state, prob)]] = joint_evolution_project((pointer,), (sel,), s)
     ref_state, ref_prob = single_selection_oracle(pointer, sel, s)
     assert np.max(np.abs(state.amplitudes - ref_state.amplitudes)) <= 1e-13
     assert abs(prob - ref_prob) <= 1e-13
+
+
+@pytest.mark.parametrize("dim, s, columns", [
+    (2, 5.0, 2), (3, 1.0, 4), (40, 0.0, 4), (40, 0.1, 12), (40, 2.0, 80), (116, 2.0, 12),
+    (779, 3.0, 4), (1151, 8.0, 2), (1291, 3.0, 24),
+])
+def test_propagator_equals_norm_every_term_reference(dim, s, columns):
+    # the bound on the sum's norm only skips norms whose stopping test cannot pass
+    y = np.random.default_rng(dim + columns).normal(size=(2 * dim, columns))
+    np.testing.assert_array_equal(measurement._coupling_propagate(y, s),
+                                  norm_every_term_propagate(y, s))
+
+
+def test_oracle_rejects_pointers_of_different_dims():
+    pointers = (spacs_state(CoherentParams(1.0), 30), spacs_state(CoherentParams(1.0), 31))
+    with pytest.raises(errors.DimensionMismatchError):
+        joint_evolution_project(pointers, (SelectionConfig(PI / 3),), 0.5)
 
 
 def test_batched_oracle_rejects_degenerate_selection():
@@ -435,7 +453,7 @@ def test_batched_oracle_rejects_degenerate_selection():
             return np.array([0.0, 1.0], dtype=np.complex128)
 
     with pytest.raises(errors.DegeneratePostselectionError):
-        joint_evolution_project(pointer, (SelectionConfig(PI / 3), Orthogonal(0.0)), 0.0)
+        joint_evolution_project((pointer,), (SelectionConfig(PI / 3), Orthogonal(0.0)), 0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -453,7 +471,7 @@ def test_oracle_agreement_high_dimension(r, theta, s, phi_pre, delta):
     dim = fock.adaptive_dim(alpha, s)
     sel = SelectionConfig(phi_pre, delta)
     [(final, prob)] = pointer_outcomes(alpha, dim, (sel,), s)
-    [(oracle_state, oracle_prob)] = joint_evolution_project(spacs_state(alpha, dim), (sel,), s)
+    [[(oracle_state, oracle_prob)]] = joint_evolution_project((spacs_state(alpha, dim),), (sel,), s)
     assert 1.0 - fidelity(final, oracle_state) <= ORACLE_FIDELITY_TOL
     assert abs(prob - oracle_prob) <= ORACLE_PROB_TOL
 
@@ -464,7 +482,7 @@ def test_oracle_leaves_global_rng_untouched():
     alpha = CoherentParams(28.0)
     pointer = spacs_state(alpha, fock.adaptive_dim(alpha, 3.0))
     before = np.random.get_state()
-    joint_evolution_project(pointer, (SelectionConfig(PI / 3),), 3.0)
+    joint_evolution_project((pointer,), (SelectionConfig(PI / 3),), 3.0)
     after = np.random.get_state()
     assert pointer.dim == 1291
     assert before[0] == after[0] and before[2:] == after[2:]
@@ -483,6 +501,6 @@ def test_oracle_agreement_small_grid():
         pointer = spacs_state(alpha, dim)
         sel = SelectionConfig(phi_pre, delta)
         [(final, prob)] = pointer_outcomes(alpha, dim, (sel,), s)
-        [(oracle_state, oracle_prob)] = joint_evolution_project(pointer, (sel,), s)
+        [[(oracle_state, oracle_prob)]] = joint_evolution_project((pointer,), (sel,), s)
         assert fidelity(final, oracle_state) > 1 - 1e-9
         assert prob == pytest.approx(oracle_prob, abs=1e-9)
