@@ -96,15 +96,14 @@ class PointResult:
     tail_mass: float
 
 
-def evaluate_point(params: ParamSet, out=None) -> PointResult:
-    """Build the point as a batch of one, or take ``out``, the outcome a batch built for it."""
-    if out is None:
-        [out] = measurement.postselected_pointer(
-            [(params.alpha, fock.adaptive_dim(params.alpha, params.s), params.s,
-              (params.selection,))])
-    if isinstance(out, SpacsimError):
-        raise out
-    return PointResult(out[1], out[0], observables.edge_tail_mass(out[0]))
+def evaluate_point(point: ParamSet | tuple[StateVector, float]) -> PointResult:
+    """Evaluate a ParamSet, built as a batch of one, or the (state, probability) a batch built."""
+    if isinstance(point, ParamSet):
+        [point] = measurement.postselected_pointer(
+            [(point.alpha, fock.adaptive_dim(point.alpha, point.s), point.s, (point.selection,))])
+    if isinstance(point, SpacsimError):
+        raise point
+    return PointResult(point[1], point[0], observables.edge_tail_mass(point[0]))
 
 
 def _value(spec: SweepSpec, point: PointResult, probs, x: float) -> tuple[float, float]:
@@ -127,9 +126,8 @@ def _error_row(label: str, x: float, exc: SpacsimError) -> SweepRow:
     return SweepRow(label, x, nan, nan, nan, status=type(exc).__name__)
 
 
-def _point_rows(spec: SweepSpec, point, value: float, xs: tuple[float, ...]) -> list[SweepRow]:
-    """The rows one evaluated point (or its error) serves in series ``value``."""
-    label = f"{spec.series}={value:.17g}"
+def _point_rows(spec: SweepSpec, point, label: str, xs: tuple[float, ...]) -> list[SweepRow]:
+    """The rows one evaluated point (or its error) serves in series ``label``."""
     if isinstance(point, SpacsimError):
         return [_error_row(label, x, point) for x in xs]
     probs = observables.photon_distribution(point.state) if spec.swept == "n" else None
@@ -143,34 +141,46 @@ def _point_rows(spec: SweepSpec, point, value: float, xs: tuple[float, ...]) -> 
     return rows
 
 
+def _checked(fixed: ParamSet, name: str, value: float) -> ParamSet | SpacsimError:
+    """``replace(fixed, name=value)``, or the SpacsimError it raises."""
+    try:
+        return replace(fixed, **{name: value})
+    except SpacsimError as exc:
+        return exc
+
+
 def run_sweep(spec: SweepSpec) -> tuple[SweepRow, ...]:
     """A sweep's rows in series-major order; failures become status rows, not aborts.
 
-    Points that share (r, theta, s) share a pointer; a photon-number series is one point for
-    its whole grid.  measurement.postselected_pointer builds the pointers by rising dim, and
-    each point becomes rows before the next outcome is built.
+    Each grid and series value is checked once, against spec.fixed.  No check reads two swept
+    fields, so a cell takes alpha, s and selection from its two values, or, if one failed, is
+    checked whole and names ParamSet's first error.  Points that share (r, theta, s) share a
+    pointer, built by rising dim; a photon-number series is one point for its whole grid.
     """
-    cells = [(value, xs) for value in spec.series_values
-             for xs in ([spec.grid] if spec.swept == "n" else [(x,) for x in spec.grid])]
-    rows: list[list[SweepRow] | None] = [None] * len(cells)
-    pointers: dict[tuple[CoherentParams, int, float], list[tuple[int, ParamSet]]] = {}
-    for i, (value, xs) in enumerate(cells):
-        swept = {} if spec.swept == "n" else {spec.swept: xs[0]}
-        try:
-            params = replace(spec.fixed, **{spec.series: value}, **swept)
-            key = (params.alpha, fock.adaptive_dim(params.alpha, params.s), params.s)
-        except SpacsimError as exc:
-            rows[i] = _point_rows(spec, exc, value, xs)
-        else:
-            pointers.setdefault(key, []).append((i, params))
+    grid = [(spec.grid, {}, spec.fixed)] if spec.swept == "n" else [
+        ((x,), {spec.swept: x}, _checked(spec.fixed, spec.swept, x)) for x in spec.grid]
+    rows, pointers = [], {}  # pointers: (alpha, dim, s) -> [(row index, label, xs, selection)]
+    for value in spec.series_values:
+        label, curve = f"{spec.series}={value:.17g}", _checked(spec.fixed, spec.series, value)
+        for xs, swept, at in grid:
+            try:
+                if not (isinstance(curve, ParamSet) and isinstance(at, ParamSet)):
+                    replace(spec.fixed, **{spec.series: value}, **swept)  # raises the first error
+                alpha = (at if spec.swept == "r" else curve).alpha
+                s = (at if spec.swept == "s" else curve).s
+                pointers.setdefault((alpha, fock.adaptive_dim(alpha, s), s), []).append(
+                    (len(rows), label, xs, (at if spec.swept == "phi_pre" else curve).selection))
+                rows.append(None)
+            except SpacsimError as exc:
+                rows.append(_point_rows(spec, exc, label, xs))
     order = sorted(pointers, key=lambda key: key[1])
     outcomes = measurement.postselected_pointer(
-        [(*key, tuple(params.selection for _, params in pointers[key])) for key in order])
+        [(*key, tuple(selection for *_, selection in pointers[key])) for key in order])
     for key in order:
-        for i, params in pointers.pop(key):  # releases each pointer's points
+        for i, label, xs, _ in pointers.pop(key):  # releases each pointer's cells
             out = next(outcomes)
-            point = out if isinstance(out, SpacsimError) else evaluate_point(params, out)
-            rows[i] = _point_rows(spec, point, *cells[i])
+            point = out if isinstance(out, SpacsimError) else evaluate_point(out)
+            rows[i] = _point_rows(spec, point, label, xs)
     return tuple(row for cell in rows for row in cell)
 
 

@@ -312,6 +312,7 @@ _VALUES = {"phi_pre": _PHI, "r": _R, "s": _S, "n": _N}
 def sweep_specs(draw):
     swept, series = draw(st.sampled_from([
         ("r", "phi_pre"), ("s", "phi_pre"),  # series over phi_pre
+        ("r", "s"), ("s", "r"),  # r against s, as in fig2a, fig3a and fig3d
         ("phi_pre", "r"), ("phi_pre", "s"),  # grids over phi_pre
         ("n", "phi_pre"), ("n", "s"), ("n", "r"),  # photon-number series
     ]))
@@ -351,6 +352,15 @@ def sweep_specs(draw):
 @example(SweepSpec(  # photon numbers at and past dim 25 (r = 0, s = 0.5) beside r = 4
     swept="n", grid=(0.0, 3.0, 24.0, 25.0, 200.0), series="r", series_values=(0.0, 4.0, 0.0),
     fixed=ParamSet(theta=PI / 9, delta=PI / 4, phi_pre=PI / 3, s=0.5), observable="p_of_n",
+))
+@example(SweepSpec(  # cells with both values bad: a non-finite r beats phi_pre = pi, which
+    # beats r = -1
+    swept="r", grid=(-1.0, math.nan, 1.0), series="phi_pre", series_values=(PI, 0.0),
+    fixed=ParamSet(s=0.5, phi_quad=PI / 2), observable="squeezing",
+))
+@example(SweepSpec(  # negative and non-finite r against negative and non-finite s
+    swept="s", grid=(-0.5, math.inf, 0.5), series="r", series_values=(-1.0, math.nan, 1.0),
+    fixed=ParamSet(phi_pre=PI / 3), observable="mandel_q",
 ))
 def test_grouped_sweep_rows_equal_point_by_point_reference(spec):
     assert comparable(run_sweep(spec)) == comparable(point_by_point_sweep(spec))
@@ -461,21 +471,39 @@ def test_param_set_reports_the_first_bad_input(fields, error, message):
         ParamSet(**fields)
 
 
-def test_each_sweep_cell_builds_its_parts_once(monkeypatch):
-    # 2 couplings x 3 selections: six cells in two pointer groups
-    spec = SweepSpec(
-        swept="phi_pre", grid=(0.0, PI / 3, PI / 2), series="s", series_values=(0.5, 1.0),
-        fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
-    )
-    built = {name: 0 for name in ("SelectionConfig", "CoherentParams")}
-    for name in built:
+def count_builds(monkeypatch):
+    """Builds of each of ParamSet, SelectionConfig and CoherentParams, counted by name."""
+    built = {name: 0 for name in ("ParamSet", "SelectionConfig", "CoherentParams")}
+    def counted_post_init(self, _post_init=ParamSet.__post_init__):
+        built["ParamSet"] += 1
+        _post_init(self)
+    monkeypatch.setattr(ParamSet, "__post_init__", counted_post_init)
+    for name in ("SelectionConfig", "CoherentParams"):
         def counted(*args, _name=name, _cls=getattr(experiments, name)):
             built[_name] += 1
             return _cls(*args)
         monkeypatch.setattr(experiments, name, counted)
+    return built
+
+
+def test_each_sweep_axis_value_builds_its_parts_once(monkeypatch):
+    # 2 couplings x 3 selections: six cells in two pointer groups, five axis values
+    spec = SweepSpec(
+        swept="phi_pre", grid=(0.0, PI / 3, PI / 2), series="s", series_values=(0.5, 1.0),
+        fixed=ParamSet(r=2.0, phi_quad=PI / 2), observable="squeezing",
+    )
+    built = count_builds(monkeypatch)
     rows = run_sweep(spec)
     assert [row.status for row in rows] == ["ok"] * 6
-    assert built == {name: 6 for name in built}
+    assert built == {name: 5 for name in built}
+
+
+def test_fig3b_checks_each_axis_value_once(monkeypatch):
+    # 81 r values and 4 phi_pre values: 85 checked parameter sets for 324 cells
+    built = count_builds(monkeypatch)
+    rows = run_sweep(figure_preset("fig3b"))
+    assert len(rows) == 324
+    assert built == {name: 85 for name in built}
 
 
 def test_degenerate_selection_is_a_status_row_for_that_selection_only(monkeypatch):
