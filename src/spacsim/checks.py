@@ -254,8 +254,8 @@ def check_trends() -> tuple[bool, str]:
     return not failed, detail
 
 
-def run_all(quick: bool = False) -> list[CheckOutcome]:
-    """Every check, oracle grid last; ``quick`` skips the oracle grid.
+def run_all() -> list[CheckOutcome]:
+    """Every check in its fixed order, the oracle grid last.
 
     A check that raises SpacsimError fails under its name, with the error as its detail.
     """
@@ -263,7 +263,7 @@ def run_all(quick: bool = False) -> list[CheckOutcome]:
              ("two-branch-unitary-identity", check_eq4_identity),
              ("trend-assertions", check_trends), ("oracle-equivalence-grid", check_oracle_grid))
     outcomes = []
-    for name, check in table[:-1] if quick else table:  # per call: wrapped check_* names run
+    for name, check in table:  # per call: wrapped check_* names run
         try:
             passed, detail = check()
         except SpacsimError as exc:

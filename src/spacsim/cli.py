@@ -36,7 +36,7 @@ MAX_GRID_POINTS = 100_000
 #: what ``figure`` reports about every preset's grids
 _PRESET_NOTE = "series grid and x grid are package defaults, not caption values"
 
-#: keys a ``--config`` file may set: option names, ``-`` or ``_`` alike
+#: keys a ``--config`` file may set on a command with that option, ``-`` or ``_`` alike
 _CONFIG_KEYS = ("r", "theta", "delta", "phi_pre", "s", "phi_quad", "format", "out")
 
 
@@ -120,9 +120,10 @@ def _load_config(ctx, _param, path: str | None) -> None:
             raise click.UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
+    names = {"format" if p.name == "fmt" else p.name for p in ctx.command.params}
     for key in values:
-        if key not in _CONFIG_KEYS:
-            raise click.UsageError(f"unknown config key {key!r}")
+        if key not in _CONFIG_KEYS or key not in names:
+            raise click.UsageError(f"unknown config key {key!r} for {ctx.command.name}")
     ctx.default_map = {"fmt" if key == "format" else key: value for key, value in values.items()}
 
 
@@ -245,10 +246,9 @@ def figure(fig_id, out, fmt):
 
 
 @main.command()
-@click.option("--quick", is_flag=True, help="skip the joint-evolution oracle grid")
-def check(quick):
+def check():
     """Run the self-verification suite; exit 0 only if everything passes."""
-    outcomes = checks.run_all(quick=quick)
+    outcomes = checks.run_all()
     failed = [o for o in outcomes if not o.passed]
     for outcome in outcomes:
         tag = "PASS" if outcome.passed else "FAIL"

@@ -110,7 +110,7 @@ def branch_superposition(plus: np.ndarray, minus: np.ndarray, sel: SelectionConf
     w = weak_value(sel)
     amps = (1.0 + w) * plus + (1.0 - w) * minus
     size = float(np.linalg.norm(amps))
-    if size < 1e-12 * ((abs(1.0 + w) + abs(1.0 - w)) or 1.0):
+    if size < 1e-12 * (abs(1.0 + w) + abs(1.0 - w)):
         return DegeneratePostselectionError(
             f"displaced branches cancel for weak value {w!r} at s={s}")
     return StateVector(amps / size), naive_postselection_probability(sel) * 0.25 * size**2

@@ -26,8 +26,6 @@ STATE_COLUMNS = (
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)

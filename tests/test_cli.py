@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from spacsim import cli, errors, experiments, fock, measurement
+from spacsim import checks, cli, errors, experiments, fock, measurement
 from spacsim.cli import main, parse_angle
 
 PI = math.pi
@@ -461,27 +461,31 @@ def test_sweep_rejects_same_swept_and_series(runner):
 
 # ---------------------------------------------------------------- check
 
-def test_check_quick_passes(runner):
-    result = invoke(runner, ["check", "--quick"])
-    assert result.exit_code == 0
-    assert "oracle-equivalence-grid" not in result.output
-    for name in ("mandel-q-closed-form", "squeezing-closed-form",
-                 "two-branch-unitary-identity", "trend-assertions"):
-        assert f"PASS {name}" in result.output
+# --quick is gone: check always runs the whole suite, the oracle grid included
+def test_check_quick_is_a_usage_error(runner, monkeypatch):
+    def refuse():
+        raise AssertionError("checked before the arguments were parsed")
+
+    monkeypatch.setattr(checks, "run_all", refuse)
+    result = runner.invoke(main, ["check", "--quick"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "No such option" in result.output
 
 
-@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
-def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, quick):
+# the id "full" names the whole suite, the oracle grid included
+@pytest.mark.parametrize("args", [["check"]], ids=["full"])
+def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, args):
     # eq4 chooses no dimension; every other check raises at its first choice
     def refuse(*_args):
         raise errors.ConvergenceError("stub cap")
 
     monkeypatch.setattr(fock, "adaptive_dim", refuse)
-    result = runner.invoke(main, ["check"] + (["--quick"] if quick else []))
+    result = runner.invoke(main, args)
     assert result.exit_code == 1
     # each under the name its passing line uses
-    failed = ["mandel-q-closed-form", "squeezing-closed-form", "trend-assertions"]
-    failed += [] if quick else ["oracle-equivalence-grid"]
+    failed = ["mandel-q-closed-form", "squeezing-closed-form", "trend-assertions",
+              "oracle-equivalence-grid"]
     assert [line for line in result.stdout.splitlines() if line.startswith("FAIL")] == [
         f"FAIL {name}: raised ConvergenceError: stub cap" for name in failed]
     assert "PASS two-branch-unitary-identity" in result.stdout
@@ -519,6 +523,8 @@ def test_sweep_rejects_too_many_rows_before_any_computation(runner, monkeypatch)
 # ---------------------------------------------------------------- config keys
 
 CONFIG_KEYS = {"r", "theta", "delta", "phi_pre", "s", "phi_quad", "format", "out"}
+#: a key is accepted only on a command that has that option
+COMMAND_KEYS = {"state": CONFIG_KEYS, "sweep": CONFIG_KEYS, "figure": {"format", "out"}}
 
 COMMANDS = {
     "state": ["state", "--r", "2", "--theta", "pi/9", "--phi-pre", "pi/3", "--s", "0.1"],
@@ -570,10 +576,22 @@ def test_config_accepts_exactly_the_option_keys(runner, tmp_path, monkeypatch, c
     for key in sorted(candidates):
         exit_code, output, _ = run_isolated(runner, tmp_path, COMMANDS[command], f"{key}=1\n")
         normalized = key.replace("-", "_")
-        if normalized in CONFIG_KEYS:
+        if normalized in COMMAND_KEYS[command]:
             assert "unknown config key" not in output, key
         else:
             assert exit_code == 2 and f"unknown config key {normalized!r}" in output, key
+
+
+def test_figure_config_rejects_a_parameter_key(runner, tmp_path, monkeypatch):
+    # a preset fixes every parameter: the key must not be dropped without a word
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("computed before the config keys were checked")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
+    exit_code, output, files = run_isolated(runner, tmp_path, ["figure", "fig1a"], "r=5\n")
+    assert exit_code == 2
+    assert "unknown config key 'r' for figure" in output
+    assert files == {}
 
 
 #: settings that are constants now: the truncation tolerance fock.TAIL_TOL
