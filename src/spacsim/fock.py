@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -93,27 +93,39 @@ class CoherentParams:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized complex amplitude list over the Fock basis.
+    """Normalized complex amplitude list over the Fock basis, and its edge tail.
 
     Construction checks that the squared amplitudes sum to 1 within 1e-12.
     """
 
     amplitudes: np.ndarray
+    edge_tail: float = field(init=False, repr=False, compare=False)  # mass in the top tenth
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
             raise InvalidParameterError("state amplitudes must be one-dimensional")
-        _check_dim(amps.shape[0])
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        total = float((np.abs(amps) ** 2).sum())
-        if not abs(total - 1.0) <= 1e-12:  # also rejects nan
-            raise InvalidParameterError(f"state is not normalized: sum |c_n|^2 = {total!r}")
+        [state] = states(amps[None], [_check_dim(amps.shape[0])])
+        vars(self).update(vars(state))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
+
+
+def states(rows: np.ndarray, dims: Sequence[int]) -> list[StateVector]:
+    """StateVector(rows[k, :dims[k]]) per row of a (rows, width) array zero past each dim,
+    squared and checked as one array; each state owns a read-only copy of its row."""
+    probs = np.abs(rows) ** 2
+    for total in probs.sum(axis=1).tolist():
+        if not abs(total - 1.0) <= 1e-12:  # also rejects nan
+            raise InvalidParameterError(f"state is not normalized: sum |c_n|^2 = {total!r}")
+    built = [object.__new__(StateVector) for _ in dims]
+    for state, row, p, dim in zip(built, rows, probs, dims):
+        vars(state).update(amplitudes=row[:dim].copy(),
+                           edge_tail=float(p[math.ceil(0.9 * dim):dim].sum()))
+        state.amplitudes.setflags(write=False)
+    return built
 
 
 def spacs_gamma_sq(mod_sq: float) -> float:
@@ -273,7 +285,7 @@ def displacement_matrix(beta: complex, dim: int) -> np.ndarray:
 def _doubling_bound(reach: float, s: float, dim: int) -> float:
     """Closed-form bound on both changes adaptive_dim tests at dim; see there."""
     lam, k = reach * reach, dim - 3
-    log_tail = k - lam + k * math.log(lam / k) if lam else -math.inf
+    log_tail = k - lam + k * math.log(lam / k) if lam / k else -math.inf  # lam / k may underflow
     t = (lam * (lam + 3.0 + s * s) + 1.0) * math.exp(log_tail)
     return 4.0 * t / (1.0 - 2.0 * t) if t < 0.5 else math.inf
 

@@ -9,19 +9,19 @@ pointer state is
 
     |Phi> ~ (1 + w) D(s/2)|Psi> + (1 - w) D(-s/2)|Psi>
 
-with w the weak value of sigma_x.  ``postselected_pointer`` is the one
-builder of that state: it builds both displaced branches of a pointer once
-for all its selections, since only w depends on them, in closed form in
-O(dim) and in batches of pointers (``fock.displaced_spacs``, no
-displacement matrix); ``branch_superposition`` then superposes them per
-selection into one normalized StateVector and its exact postselection
-probability.  Sweeps, single points and the checks all go through it.
-The closed-form normalization is kept as a cross-check, and an
-independent oracle evolves the full qubit (x) pointer space with a banded
-numpy Taylor propagator for validation, at any dimension; it evolves a
-block of pointers of one dimension once for any number of selections and
-shares no code with the closed-form branches.  The same propagator applied
-to the identity gives the dense unitary kept only for the two-branch check.
+with w the weak value of sigma_x.  ``postselected_pointer`` is the one builder
+of that state: it builds both displaced branches of a pointer once for all its
+selections, since only w depends on them, in closed form in O(dim) and in
+batches of pointers (``fock.displaced_spacs``, no displacement matrix);
+``branch_superposition`` then superposes a batch's selections as one array
+into normalized StateVectors and their exact postselection probabilities.
+Sweeps, single points and the checks all go through it.  The closed-form
+normalization is kept as a cross-check, and an independent oracle evolves the
+full qubit (x) pointer space with a banded numpy Taylor propagator for
+validation, at any dimension; it evolves a block of pointers of one dimension
+once for any number of selections and shares no code with the closed-form
+branches.  The same propagator applied to the identity gives the dense unitary
+kept only for the two-branch check.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -102,18 +103,29 @@ def naive_postselection_probability(sel: SelectionConfig) -> float:
     return math.cos(0.5 * sel.phi_pre) ** 2
 
 
-def branch_superposition(plus: np.ndarray, minus: np.ndarray, sel: SelectionConfig, s: float
-                         ) -> tuple[StateVector, float] | DegeneratePostselectionError:
+def branch_superposition(plus: np.ndarray, minus: np.ndarray, dims: Sequence[int],
+                         ss: Sequence[float], slots: Sequence[tuple[int, SelectionConfig]]
+                         ) -> list[tuple[StateVector, float] | DegeneratePostselectionError]:
     """(1+w) D(s/2)|Psi> + (1-w) D(-s/2)|Psi>, normalized, and its exact postselection
-    probability, for the weak value w of sel and a pointer's branches D(+-s/2)|Psi> from
-    fock.displaced_spacs cut to its dim; a DegeneratePostselectionError when they cancel."""
-    w = weak_value(sel)
-    amps = (1.0 + w) * plus + (1.0 - w) * minus
-    size = float(np.linalg.norm(amps))
-    if size < 1e-12 * (abs(1.0 + w) + abs(1.0 - w)):
-        return DegeneratePostselectionError(
-            f"displaced branches cancel for weak value {w!r} at s={s}")
-    return StateVector(amps / size), naive_postselection_probability(sel) * 0.25 * size**2
+    probability, per slot (p, sel) of a fock.displaced_spacs batch (plus, minus), for pointer
+    p's dims[p] and ss[p] and the weak value w of sel; a DegeneratePostselectionError where
+    the branches cancel.  One broadcast forms the rows and one fock.states pass checks them;
+    each norm is np.linalg.norm's BLAS pair over its row's dim, so the bytes match one row."""
+    pointers, ws = [p for p, _ in slots], [weak_value(sel) for _, sel in slots]
+    w_column = np.array(ws, dtype=np.complex128)[:, None]
+    rows = (1.0 + w_column) * plus.take(pointers, 0) + (1.0 - w_column) * minus.take(pointers, 0)
+    sizes = [math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+             for r in (row[:dims[p]] for row, p in zip(rows, pointers))]
+    kept = [k for k, (w, size) in enumerate(zip(ws, sizes))
+            if not size < 1e-12 * (abs(1.0 + w) + abs(1.0 - w))]
+    if len(kept) < len(rows):  # leave the cancelled rows out
+        rows = rows.take(kept, 0)
+    divisor = np.array([sizes[k] for k in kept], dtype=np.complex128)[:, None]  # no casting pass
+    built = dict(zip(kept, fock.states(rows / divisor, [dims[pointers[k]] for k in kept])))
+    return [(built[k], naive_postselection_probability(sel) * 0.25 * size**2) if k in built
+            else DegeneratePostselectionError(
+                f"displaced branches cancel for weak value {w!r} at s={ss[p]}")
+            for k, ((p, sel), w, size) in enumerate(zip(slots, ws, sizes))]
 
 
 def postselected_pointer(
@@ -124,10 +136,11 @@ def postselected_pointer(
     A pointer (alpha, dim, s, selections) is a_dag|alpha> on dim Fock states, held to
     fock.TAIL_TOL as spacs_state(alpha, dim) holds it, coupled with strength s (at s = 0 each
     state is the pointer and its probability cos^2(phi_pre/2)).  Pointers go, in input order,
-    into fock.displaced_spacs batches of at most BATCH_AMPLITUDES pointers x largest dim (or
-    one pointer).  Outcomes are yielded lazily, one per selection in input order, so one
-    conditioned state is held at a time; a slot holds its pointer's TruncationError, or its
-    own DegeneratePostselectionError when the branches cancel, instead.
+    into fock.displaced_spacs batches of at most BATCH_AMPLITUDES pointers x largest dim (or one
+    pointer); the selections of each are superposed in chunks of at most 4 * BATCH_AMPLITUDES
+    rows x largest dim (one chunk at four per pointer) or one row, so memory stays bounded.
+    Outcomes are yielded lazily, one per selection in input order; a slot holds its pointer's
+    TruncationError, or its own DegeneratePostselectionError when the branches cancel, instead.
     """
     batches, width = [[]], 0
     for pointer in pointers:
@@ -140,9 +153,11 @@ def postselected_pointer(
     for batch in filter(None, batches):
         alphas, dims, ss, selections = zip(*batch)
         (plus, minus), faults = fock.displaced_spacs(alphas, [(s / 2, -s / 2) for s in ss], dims)
-        for p, (dim, s, fault, sels) in enumerate(zip(dims, ss, faults, selections)):
-            for sel in sels:
-                yield fault or branch_superposition(plus[p, :dim], minus[p, :dim], sel, s)
+        slots = ((p, sel) for p, sels in enumerate(selections) for sel in sels)
+        while chunk := list(islice(slots, max(1, 4 * BATCH_AMPLITUDES // plus.shape[-1]))):
+            built = iter(branch_superposition(
+                plus, minus, dims, ss, [slot for slot in chunk if not faults[slot[0]]]))
+            yield from (faults[p] or next(built) for p, _ in chunk)
 
 
 def analytic_beta(alpha: CoherentParams, w: complex, s: float) -> float:

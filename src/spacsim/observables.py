@@ -84,9 +84,7 @@ def analytic_s_initial(alpha: CoherentParams, phi: float) -> float:
 def edge_tail_mass(state: StateVector) -> float:
     """Probability mass in the top tenth of the retained basis.
 
-    A truncation diagnostic: well-converged states hold essentially no
-    mass near the basis edge.
+    A truncation diagnostic: well-converged states hold essentially no mass
+    near the basis edge.  fock.states sums it in the normalization check.
     """
-    probs = np.abs(state.amplitudes) ** 2
-    start = int(math.ceil(0.9 * state.dim))
-    return float(probs[start:].sum())
+    return state.edge_tail

@@ -6,9 +6,9 @@ compare the fast paths against a direct computation.  The numeric
 doubling probe is the reference for the closed-form dimension choice,
 the one-column oracle for the batched one, the complex-arithmetic
 dense exponential for the real one, the Taylor propagator that took the
-sum's norm at every term for the one that bounds it first, and the
-point-by-point sweep loop for the sweep that evaluates each shared
-pointer once.
+sum's norm at every term for the one that bounds it first, the
+one-selection superposition for the batched one, and the point-by-point
+sweep loop for the sweep that evaluates each shared pointer once.
 """
 
 import math
@@ -42,7 +42,14 @@ from spacsim.fock import (
     _coherent_amplitudes,
     require_finite,
 )
-from spacsim.measurement import _TAYLOR_DEGREE, _TAYLOR_THETA, SIGMA_X, SelectionConfig
+from spacsim.measurement import (
+    _TAYLOR_DEGREE,
+    _TAYLOR_THETA,
+    SIGMA_X,
+    SelectionConfig,
+    naive_postselection_probability,
+    weak_value,
+)
 
 #: generator 1-norm one expm_multiply call of single_selection_oracle covers
 REFERENCE_STEP_NORM = 4.0
@@ -253,6 +260,28 @@ def single_selection_oracle(
         )
     projected = StateVector(block / math.sqrt(probability))
     return projected, probability
+
+
+def one_selection_superposition(
+    plus: np.ndarray, minus: np.ndarray, dim: int, sel: SelectionConfig, s: float
+) -> tuple[np.ndarray, float, float] | DegeneratePostselectionError:
+    """One selection's conditioned state as it was built before selections were batched.
+
+    (1+w) plus[:dim] + (1-w) minus[:dim] for one pointer's branches, divided by its
+    np.linalg.norm; returns the normalized amplitudes, the exact postselection probability
+    and the edge tail, the |c_n|^2 mass over the top tenth of the dim, summed over the
+    state's own amplitudes.
+    """
+    w = weak_value(sel)
+    amps = (1.0 + w) * plus[:dim] + (1.0 - w) * minus[:dim]
+    size = float(np.linalg.norm(amps))
+    if size < 1e-12 * (abs(1.0 + w) + abs(1.0 - w)):
+        return DegeneratePostselectionError(
+            f"displaced branches cancel for weak value {w!r} at s={s}")
+    state = StateVector(amps / size)
+    probs = np.abs(state.amplitudes) ** 2
+    edge_tail = float(probs[int(math.ceil(0.9 * state.dim)):].sum())
+    return state.amplitudes, naive_postselection_probability(sel) * 0.25 * size**2, edge_tail
 
 
 # ---------------------------------------------------------------- sweeps

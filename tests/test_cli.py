@@ -494,8 +494,8 @@ def test_check_reports_a_raising_check_as_a_fail_line(runner, monkeypatch, args)
 def test_check_reports_a_cancelled_selection_as_fail_lines(runner, monkeypatch):
     # no physical selection cancels its branches, so every superposition stands in
     # as cancelled: each check that reads a conditioned state fails, none crashes
-    def cancel(_plus, _minus, _sel, s):
-        return errors.DegeneratePostselectionError(f"stub cancel at s={s}")
+    def cancel(_plus, _minus, _dims, ss, slots):
+        return [errors.DegeneratePostselectionError(f"stub cancel at s={ss[p]}") for p, _ in slots]
 
     monkeypatch.setattr(measurement, "branch_superposition", cancel)
     result = runner.invoke(main, ["check"])

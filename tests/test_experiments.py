@@ -448,10 +448,10 @@ def test_fig3b_builds_one_branch_pair_per_pointer(monkeypatch):
 
 
 def test_fig3b_builds_one_state_per_conditioned_point(monkeypatch):
+    # every StateVector, built alone or as a batch row, comes from one fock.states row
     built = []
-    state_vector = measurement.StateVector
-    monkeypatch.setattr(measurement, "StateVector",
-                        lambda *a, **k: built.append(a) or state_vector(*a, **k))
+    batch = fock.states
+    monkeypatch.setattr(fock, "states", lambda rows, dims: built.extend(dims) or batch(rows, dims))
     rows = run_sweep(figure_preset("fig3b"))
     assert len(rows) == 324
     assert len(built) == 324

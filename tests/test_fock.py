@@ -362,6 +362,7 @@ def _dim_or_cap(choose, *args):
 )
 @example(r=28.0, theta=0.0, s=3.0, log_tol=-9.0)  # dim 1291
 @example(r=0.0, theta=0.0, s=0.0, log_tol=-9.0)  # dim 20
+@example(r=0.0, theta=0.0, s=4.337801717979342e-162, log_tol=-4.0)  # (r + s)^2 / dim underflows
 def test_adaptive_dim_matches_doubling_probe(r, theta, s, log_tol):
     # the probe doubles until it meets tol; adaptive_dim certifies TAIL_TOL
     # only, and one dimension serves every tol in [1e-12, 1e-4]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from _reference import (
     complex_joint_unitary_dense,
     norm_every_term_propagate,
     normalize,
+    one_selection_superposition,
     single_selection_oracle,
 )
 
@@ -297,7 +299,7 @@ def test_mixed_pointer_batch_equals_batches_of_one(monkeypatch, budget, batches)
 
 
 def test_branch_superposition_builds_the_branches_once(monkeypatch):
-    # three selections of one pointer: one build, three superpositions of it
+    # three selections of one pointer: one build, one superposition call carrying all three
     builds, superposed = [], []
     displaced, superpose = fock.displaced_spacs, measurement.branch_superposition
     monkeypatch.setattr(fock, "displaced_spacs", lambda *a: builds.append(a) or displaced(*a))
@@ -305,7 +307,56 @@ def test_branch_superposition_builds_the_branches_once(monkeypatch):
                         lambda *a: superposed.append(a) or superpose(*a))
     selections = (SelectionConfig(0.0), SelectionConfig(PI / 2), SelectionConfig(0.9, PI / 2))
     outcomes = pointer_outcomes(CoherentParams(1.0), 40, selections, 0.5)
-    assert len(outcomes) == 3 and len(builds) == 1 and len(superposed) == 3
+    assert len(outcomes) == 3 and len(builds) == 1 and len(superposed) == 1
+    assert superposed[0][-1] == [(0, sel) for sel in selections]
+
+
+def test_batched_superposition_keeps_the_bytes_of_one_selection(monkeypatch):
+    # a batch of mixed dims with an s = 0 pointer, a truncated pointer beside good ones and
+    # a pointer whose 30 selections span three chunks of at most 4 * 256 // 60 = 17 rows
+    sels = (SelectionConfig(PI / 3, PI / 4), SelectionConfig(PI / 2), SelectionConfig(0.998 * PI, 2.0),
+            SelectionConfig(0.0, 1.0))
+    many = tuple(SelectionConfig(0.1 * k, 0.2 * k) for k in range(30))
+    pointers = [(CoherentParams(0.0), 20, 0.5, sels[:2]), (CoherentParams(2.0, PI / 9), 60, 0.0, sels),
+                (CoherentParams(4.0), 16, 0.5, sels), (CoherentParams(1.5, 1.0), 44, 1.0, many),
+                (CoherentParams(3.0, 0.3), 70, 2.0, sels)]
+    built, chunks = [], []
+    displaced, superpose = fock.displaced_spacs, measurement.branch_superposition
+    monkeypatch.setattr(measurement, "BATCH_AMPLITUDES", 256)
+    monkeypatch.setattr(fock, "displaced_spacs",
+                        lambda *a: built.append((a[2], displaced(*a))) or built[-1][1])
+    monkeypatch.setattr(measurement, "branch_superposition",
+                        lambda *a: chunks.append(a[-1]) or superpose(*a))
+    outcomes = list(postselected_pointer(pointers))
+    assert [dims for dims, _ in built] == [(20, 60, 16, 44), (70,)] and len(outcomes) == 44
+    # chunks of 17 slots; the truncated pointer's four are not superposed
+    assert list(map(len, chunks)) == [13, 17, 6, 4]
+    assert [any(p == 3 for p, _ in slots) for slots in chunks] == [True, True, True, False]
+    branches = [(plus[i], minus[i]) for _, ((plus, minus), _) in built for i in range(len(plus))]
+    expected = [one_selection_superposition(*branches[p], dim, sel, s)
+                for p, (_, dim, s, selections) in enumerate(pointers) for sel in selections]
+    for k, (out, ref) in enumerate(zip(outcomes, expected)):
+        if 6 <= k < 10:  # the pointer truncated at dim 16
+            assert isinstance(out, errors.TruncationError) and "dim=16" in str(out)
+            continue
+        state, prob = out
+        amps, ref_prob, ref_tail = ref
+        assert state.amplitudes.tobytes() == amps.tobytes()
+        assert prob == ref_prob and state.edge_tail == ref_tail
+
+
+def test_one_pointer_selections_in_bounded_memory():
+    # chunks bound the superposition arrays: ten times the selections, the same peak
+    alpha = CoherentParams(2.0, PI / 9)
+    peaks = []
+    for count in (2_000, 20_000):
+        selections = tuple(SelectionConfig(3.0 * k / count) for k in range(count))
+        tracemalloc.start()
+        for state, _ in postselected_pointer([(alpha, 47, 1.0, selections)]):
+            assert state.dim == 47
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert max(peaks) < 2**20 and max(peaks) <= 2 * min(peaks), peaks
 
 
 # ---------------------------------------------------------------- beta
